@@ -6,9 +6,9 @@ Times the three stages this repository's perf work targets —
 2. cache simulation: the vectorized kernels vs the scalar reference
    ``Cache.run`` loop, per configuration family, with a byte-for-byte
    stats cross-check on a shared prefix, and
-3. the 56-configuration paper sweep: the pre-kernel serial engine
-   (scalar stack passes) vs ``sweep_parallel`` at ``--jobs 1`` and
-   ``--jobs 4`` —
+3. the 56-configuration paper sweep: the scalar stack-pass oracle
+   (``repro.cache.oracle.sweep_grid``) vs ``sweep_parallel`` at
+   ``--jobs 1`` and ``--jobs 4`` —
 
 and writes ``BENCH_cache.json`` at the repository root so the numbers
 are tracked from PR to PR.  Timing claims are environment-dependent;
@@ -40,14 +40,13 @@ from repro.cache import (          # noqa: E402
     Cache,
     CacheConfig,
     POLICY_FIFO,
-    lru_depth_histogram,
     lru_hit_depths,
     simulate,
-    sweep_paper_grid,
     sweep_parallel,
     to_line_addresses,
     WRITE_BACK,
 )
+from repro.cache.oracle import lru_depth_histogram, sweep_grid  # noqa: E402
 from repro import (                # noqa: E402
     collect_table1_session,
     replay_session,
@@ -57,7 +56,7 @@ from repro.workloads import SessionSpec  # noqa: E402
 
 #: The simulation configurations the harness tracks, chosen to cover
 #: every kernel path: both replacement policies, both write policies,
-#: no-write-allocate, and the direct-mapped closed form.
+#: no-write-allocate, and a direct-mapped cache.
 KERNEL_CONFIGS = [
     ("lru_wt_8k", CacheConfig(8192, 16, 4)),
     ("lru_wb_8k", CacheConfig(8192, 16, 4, write_policy=WRITE_BACK)),
@@ -291,7 +290,7 @@ def bench_sweep(addresses) -> dict:
     on ``cpu_count: 1``).  The JSON says when the cap bit."""
     requested = 4
     jobs = min(requested, os.cpu_count() or 1)
-    prev_s, prev = _timed(lambda: sweep_paper_grid(addresses))
+    prev_s, prev = _timed(lambda: sweep_grid(addresses))
     jobs1_s, p1 = _timed(lambda: sweep_parallel(addresses, jobs=1))
     jobs4_s, p4 = _timed(lambda: sweep_parallel(addresses, jobs=jobs))
     key = lambda pts: [(p.config.label(), p.misses) for p in pts]  # noqa: E731

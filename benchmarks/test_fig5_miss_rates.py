@@ -92,7 +92,8 @@ def test_results_typical_across_sessions(table1_runs, benchmark):
 def test_fast_sweep_agrees_with_reference(case_study_trace, benchmark):
     once(benchmark, lambda: None)
     """Cross-check three grid points against the reference simulator."""
-    from repro.cache import CacheConfig, sweep_reference, grid_by_config
+    from repro.cache import CacheConfig, grid_by_config
+    from repro.cache.oracle import sweep_reference
 
     prefix = case_study_trace[:200_000]
     fast = grid_by_config(sweep_parallel(prefix))

@@ -28,8 +28,7 @@ from .cache import (
     CacheConfig,
     RegionMix,
     paper_configurations,
-    sweep_paper_grid,
-    sweep_reference,
+    sweep_parallel,
 )
 from .device import Button, PalmDevice
 from .emulator import (
@@ -62,8 +61,7 @@ __all__ = [
     "CacheConfig",
     "RegionMix",
     "paper_configurations",
-    "sweep_paper_grid",
-    "sweep_reference",
+    "sweep_parallel",
     "Button",
     "PalmDevice",
     "Emulator",

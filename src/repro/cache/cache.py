@@ -3,14 +3,16 @@
 A set-associative cache with configurable size, line size,
 associativity, replacement policy (LRU as in the paper, plus FIFO and
 random for the ablation study), and write policy.  This is the
-straightforward, obviously-correct model; the single-pass fast path in
-:mod:`repro.cache.stackdist` is validated against it.
+straightforward, obviously-correct model: the per-access engine for
+random replacement, online caches and the write buffer, and the
+reference the vectorized kernels in :mod:`repro.cache.kernels` are
+validated against.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

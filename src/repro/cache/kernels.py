@@ -25,9 +25,12 @@ passes.  The design is *set-major*:
     remaining (hot) sets are drained by a scalar per-set loop over the
     same packed state.
 
-Direct-mapped caches collapse further: every run head is a miss (the
-resident line is by construction a different line of the same set), so
-the whole simulation reduces to counting runs — no wave loop at all.
+The packed state persists between calls, so a trace is simulated as a
+*chunk stream*: :class:`ChunkedSimulator` and :class:`ChunkedDepthPass`
+are the only engine, and the public entry points turn every input (an
+ndarray, a plain list, an empty trace, or a chunk iterator such as
+``TraceContainer.cache_chunks()``) into a stream before feeding it.  An
+in-RAM trace is a one-chunk stream.
 
 Supported: LRU and FIFO replacement, write-through and write-back,
 write-allocate and no-write-allocate (the latter skips run collapsing,
@@ -35,7 +38,7 @@ since an unallocated write leaves the resident line in place).  Random
 replacement consumes a Python ``random.Random`` stream per eviction and
 stays on the scalar simulator; :func:`simulate_auto` hides the
 difference.  Every kernel is differential-tested against the scalar
-simulator for byte-for-byte equal statistics.
+oracle in :mod:`repro.cache.oracle` for byte-for-byte equal statistics.
 """
 
 from __future__ import annotations
@@ -79,11 +82,15 @@ def supports(config: CacheConfig) -> bool:
 # Trace preparation
 # ----------------------------------------------------------------------
 
-def _set_tag_split(addresses: np.ndarray, config: CacheConfig
+def to_line_addresses(addresses: np.ndarray, line_size: int) -> np.ndarray:
+    """Convert byte addresses to line numbers."""
+    shift = line_size.bit_length() - 1
+    return (np.asarray(addresses, dtype=np.uint32) >> shift).astype(np.uint32)
+
+
+def _set_tag_split(addresses: np.ndarray, offset_bits: int, num_sets: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    offset_bits = config.line_size.bit_length() - 1
-    set_bits = (config.num_sets - 1).bit_length()
-    addresses = np.asarray(addresses)
+    set_bits = (num_sets - 1).bit_length()
     if addresses.dtype == np.uint32 and offset_bits + set_bits >= 2:
         # 32-bit device addresses: stay in narrow integers (the sort and
         # the wave ops are markedly faster than on int64).  The packed
@@ -91,11 +98,11 @@ def _set_tag_split(addresses: np.ndarray, config: CacheConfig
         # 30 bits — true whenever at least two address bits fold into
         # the line offset and set index.
         lines = addresses >> np.uint32(offset_bits)
-        sets = (lines & np.uint32(config.num_sets - 1)).astype(np.int32)
+        sets = (lines & np.uint32(num_sets - 1)).astype(np.int32)
         tags = (lines >> np.uint32(set_bits)).astype(np.int32)
     else:
         lines = addresses.astype(np.int64) >> offset_bits
-        sets = (lines & (config.num_sets - 1)).astype(np.int32)
+        sets = (lines & (num_sets - 1)).astype(np.int32)
         tags = lines >> set_bits
     return sets, tags
 
@@ -282,23 +289,22 @@ def _drain_depths(tags, row, assoc, hist):
 # Wave kernels
 # ----------------------------------------------------------------------
 
-def _run_waves(sets, tags, writes, config: CacheConfig,
-               state: np.ndarray, depth_hist: Optional[np.ndarray] = None,
+def _run_waves(sets, tags, writes, state: np.ndarray, fifo: bool = False,
+               write_back: bool = False, allocate: bool = True,
+               depth_hist: Optional[np.ndarray] = None,
                tail_width: int = TAIL_WIDTH,
                fifo_ptr: Optional[np.ndarray] = None):
     """Simulate set-sorted run heads; returns (hits, writebacks).
 
     ``state`` is the packed ``(num_sets, assoc)`` way matrix, mutated in
-    place.  With ``depth_hist`` (LRU only) each hit also increments the
+    place; the defaults are an LRU, write-through, write-allocate cache.
+    With ``depth_hist`` (LRU only) each hit also increments the
     histogram bucket of its stack depth.  ``fifo_ptr`` carries the
     per-set FIFO insertion pointers; passing it in (mutated in place)
-    lets the out-of-core path resume replacement state across chunk
-    boundaries.
+    resumes replacement state across chunk boundaries.
     """
     assoc = state.shape[1]
-    fifo = config.policy == POLICY_FIFO
-    track_dirty = writes is not None and config.write_policy == WRITE_BACK
-    allocate = config.write_allocate
+    track_dirty = writes is not None and write_back
     order, bounds, group_start, group_len = _schedule_waves(sets)
     sets_w = sets[order]
     tags_w = tags[order]
@@ -410,59 +416,28 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
 
 
 # ----------------------------------------------------------------------
-# Direct-mapped closed form
+# The engine: chunk streams with persistent state
 # ----------------------------------------------------------------------
 
-def _direct_mapped(sets, tags, writes, config: CacheConfig,
-                   flush: bool) -> CacheStats:
-    """Every run head misses in a direct-mapped cache, so stats reduce
-    to run counting (requires write-allocate; set-sorted inputs)."""
-    n = len(sets)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        return stats
-    total_writes = 0 if writes is None else int(np.count_nonzero(writes))
-    sets_r, _tags_r, run_writes, collapsed = _collapse_runs(
-        sets, tags, writes)
-    runs = len(sets_r)
-    stats.misses = runs
-    stats.hits = n - runs
-    if config.write_policy == WRITE_BACK:
-        if writes is not None:
-            last_of_set = np.empty(runs, dtype=bool)
-            last_of_set[-1] = True
-            np.not_equal(sets_r[1:], sets_r[:-1], out=last_of_set[:-1])
-            dirty = run_writes
-            stats.writebacks = int(np.count_nonzero(dirty & ~last_of_set))
-            if flush:
-                stats.writebacks += int(np.count_nonzero(
-                    dirty & last_of_set))
-    else:
-        stats.write_throughs = total_writes
-    return stats
+def as_chunks(trace, writes=None):
+    """``trace`` as an iterable of chunks, each an address array or an
+    ``(addresses, writes)`` pair.
 
-
-# ----------------------------------------------------------------------
-# Out-of-core simulation (chunk streams)
-# ----------------------------------------------------------------------
-
-def as_chunk_iter(addresses):
-    """The chunk iterator behind ``addresses``, or ``None`` when the
-    argument is a whole in-RAM trace.
-
-    The out-of-core entry points accept either a generator/iterator or
-    a list of chunks, each chunk an address array or an ``(addresses,
-    writes)`` pair.  Flat in-RAM traces (ndarray, or a plain sequence
-    of scalars) keep the historical whole-trace path.
+    An iterator, or a list of arrays or pairs, already is a chunk
+    stream; ``writes`` must then be ``None`` (the mask rides inside
+    each pair).  Anything else is an in-RAM trace — an ndarray or a
+    plain sequence of ints, possibly empty — and becomes a one-chunk
+    stream.
     """
-    if isinstance(addresses, np.ndarray):
-        return None
-    if hasattr(addresses, "__next__"):
-        return addresses
-    if isinstance(addresses, (list, tuple)) and len(addresses) \
-            and isinstance(addresses[0], (np.ndarray, tuple)):
-        return iter(addresses)
-    return None
+    if hasattr(trace, "__next__") or (
+            isinstance(trace, (list, tuple)) and len(trace)
+            and isinstance(trace[0], (np.ndarray, tuple))):
+        if writes is not None:
+            raise ValueError(
+                "with a chunk iterator, pass writes inside each chunk "
+                "as (addresses, writes) pairs")
+        return trace
+    return [trace if writes is None else (trace, writes)]
 
 
 def _split_chunk(chunk):
@@ -475,26 +450,24 @@ def _split_chunk(chunk):
 class ChunkedSimulator:
     """:func:`simulate` with cache state carried across chunk feeds.
 
-    Produces ``CacheStats`` **bit-identical** to the whole-trace kernel
-    on the concatenated stream, for every chunking.  Two facts make
-    that exact rather than approximate:
+    Produces the same ``CacheStats`` for every chunking of a trace.
+    Two facts make that exact rather than approximate:
 
     *  The wave kernel's ``(num_sets, assoc)`` packed way matrix (plus
        the FIFO insertion pointers) *is* the cache's complete
        replacement state, so persisting it between chunks resumes the
        simulation mid-trace.
-    *  Run collapsing is a pure optimization: a reference the
-       whole-trace pass would have collapsed into its predecessor's
-       run is, when the run straddles a chunk boundary, simulated as a
-       fresh run head instead — but its line is by construction
-       resident at MRU (or anywhere, for FIFO) in its set, so it scores
-       the same guaranteed hit, and the hit update (MRU rotation of the
-       MRU entry, dirty-bit OR) is idempotent.  Stats and final state
-       match exactly; only the operation count differs.
+    *  Run collapsing is a pure optimization: a reference that would
+       have collapsed into its predecessor's run is, when the run
+       straddles a chunk boundary, simulated as a fresh run head
+       instead — but its line is by construction resident at MRU (or
+       anywhere, for FIFO) in its set, so it scores the same guaranteed
+       hit, and the hit update (MRU rotation of the MRU entry, dirty-bit
+       OR) is idempotent.  Stats and final state match exactly; only
+       the operation count differs.
 
-    The direct-mapped closed form is skipped (it needs the whole trace
-    to count runs); assoc-1 configurations stream through the general
-    wave path, where every replacement policy coincides.
+    Direct-mapped configurations run the general wave path, where
+    every replacement policy coincides.
     """
 
     def __init__(self, config: CacheConfig, flush: bool = False,
@@ -536,7 +509,8 @@ class ChunkedSimulator:
         allocate = config.write_allocate
         addresses, writes, collapsed = _precollapse(
             addresses, writes, self._offset_bits, allocate=allocate)
-        sets, tags = _set_tag_split(addresses, config)
+        sets, tags = _set_tag_split(addresses, self._offset_bits,
+                                    config.num_sets)
         sets, tags, writes = _sort_by_set(sets, tags, writes)
         sets, tags, writes, more = _collapse_runs(sets, tags, writes,
                                                   allocate=allocate)
@@ -553,8 +527,9 @@ class ChunkedSimulator:
         hits, writebacks = _run_waves(
             sets, tags,
             writes if (track_dirty or not allocate) else None,
-            config, self._state, tail_width=self.tail_width,
-            fifo_ptr=self._ptr)
+            self._state, fifo=config.policy == POLICY_FIFO,
+            write_back=self._write_back, allocate=allocate,
+            tail_width=self.tail_width, fifo_ptr=self._ptr)
         self._hits += hits
         self._writebacks += writebacks
 
@@ -596,36 +571,27 @@ class ChunkedDepthPass:
         if n == 0:
             return
         self._total += n
-        num_sets = self.num_sets
-        set_bits = num_sets.bit_length() - 1
-        if line_addrs.dtype == np.uint32 and set_bits >= 2:
-            sets = (line_addrs & np.uint32(num_sets - 1)).astype(np.int32)
-            tags = (line_addrs >> np.uint32(set_bits)).astype(np.int32)
-        else:
-            lines = line_addrs.astype(np.int64)
-            sets = (lines & (num_sets - 1)).astype(np.int32)
-            tags = lines >> set_bits
+        sets, tags = _set_tag_split(line_addrs, 0, self.num_sets)
         sets, tags, _ = _sort_by_set(sets, tags, None)
         sets, tags, _, collapsed = _collapse_runs(sets, tags, None)
         self.hist[0] += collapsed
         if self._state is None:
             dtype = (tags.dtype if tags.dtype == np.int32 else np.int64)
-            self._state = np.full((num_sets, self.max_depth), EMPTY,
+            self._state = np.full((self.num_sets, self.max_depth), EMPTY,
                                   dtype=dtype)
         elif tags.dtype != self._state.dtype:
             tags = tags.astype(self._state.dtype)
-
-        class _DepthPass:  # _run_waves only reads these three fields
-            policy = POLICY_LRU
-            write_policy = "write-through"
-            write_allocate = True
-
-        _run_waves(sets, tags, None, _DepthPass, self._state,
-                   depth_hist=self.hist, tail_width=self.tail_width)
+        _run_waves(sets, tags, None, self._state, depth_hist=self.hist,
+                   tail_width=self.tail_width)
 
     def finish(self) -> Tuple[np.ndarray, int]:
         cold = self._total - int(self.hist.sum())
         return self.hist, cold
+
+    def run(self, chunks) -> Tuple[np.ndarray, int]:
+        for chunk in chunks:
+            self.feed(chunk)
+        return self.finish()
 
 
 # ----------------------------------------------------------------------
@@ -635,99 +601,32 @@ class ChunkedDepthPass:
 def simulate(addresses, config: CacheConfig, writes=None,
              flush: bool = False, tail_width: int = TAIL_WIDTH
              ) -> CacheStats:
-    """Simulate a whole trace; exact ``CacheStats`` of the scalar
-    :class:`Cache` fed the same references (plus ``flush_dirty`` when
-    ``flush`` is set).
+    """Exact ``CacheStats`` of the scalar :class:`Cache` fed the same
+    references (plus ``flush_dirty`` when ``flush`` is set).
 
-    ``addresses`` may also be a *chunk iterator* — a generator (or
-    list) of address arrays or ``(addresses, writes)`` pairs, e.g.
-    ``TraceContainer.cache_chunks()`` — in which case the trace is
-    simulated out of core with state carried across chunk boundaries,
-    producing bit-identical stats to the in-RAM pass.  ``writes`` must
-    then be ``None`` (the mask rides along inside each chunk).
+    ``addresses`` is an in-RAM trace with an optional ``writes`` mask,
+    or a chunk iterator such as ``TraceContainer.cache_chunks()``,
+    simulated out of core (see :func:`as_chunks`).  Every chunking of
+    a trace gives the same stats.
 
     Raises :class:`KernelUnsupported` for configurations only the
     scalar simulator handles (random replacement).
     """
-    chunk_iter = as_chunk_iter(addresses)
-    if chunk_iter is not None:
-        if writes is not None:
-            raise ValueError(
-                "with a chunk iterator, pass writes inside each chunk "
-                "as (addresses, writes) pairs")
-        return ChunkedSimulator(config, flush=flush,
-                                tail_width=tail_width).run(chunk_iter)
-    if not supports(config):
-        raise KernelUnsupported(
-            f"no vectorized kernel for policy {config.policy!r}")
-    addresses = np.asarray(addresses)
-    if writes is not None:
-        writes = np.asarray(writes, dtype=bool)
-        if len(writes) != len(addresses):
-            raise ValueError("writes mask length != trace length")
-        if not writes.any():
-            writes = None
-    n = len(addresses)
-    if n == 0:
-        return CacheStats()
-
-    stats = CacheStats(accesses=n)
-    total_writes = 0 if writes is None else int(np.count_nonzero(writes))
-    if config.write_policy != WRITE_BACK:
-        stats.write_throughs = total_writes
-
-    allocate = config.write_allocate
-    offset_bits = config.line_size.bit_length() - 1
-    addresses, writes, collapsed = _precollapse(
-        addresses, writes, offset_bits, allocate=allocate)
-    sets, tags = _set_tag_split(addresses, config)
-    sets, tags, writes = _sort_by_set(sets, tags, writes)
-
-    if config.associativity == 1 and allocate:
-        dm = _direct_mapped(sets, tags, writes, config, flush)
-        stats.hits = dm.hits + collapsed
-        stats.misses = dm.misses
-        stats.writebacks = dm.writebacks
-        return stats
-
-    sets, tags, writes, more = _collapse_runs(sets, tags, writes,
-                                              allocate=allocate)
-    collapsed += more
-    state = np.full((config.num_sets, config.associativity), EMPTY,
-                    dtype=tags.dtype if tags.dtype == np.int32 else np.int64)
-    track_dirty = writes is not None and config.write_policy == WRITE_BACK
-    hits, writebacks = _run_waves(
-        sets, tags,
-        writes if (track_dirty or not config.write_allocate) else None,
-        config, state, tail_width=tail_width)
-    stats.hits = hits + collapsed
-    stats.misses = n - stats.hits
-    stats.writebacks = writebacks
-    if flush and track_dirty:
-        stats.writebacks += int((state & 1).sum())
-    return stats
+    chunks = as_chunks(addresses, writes)
+    return ChunkedSimulator(config, flush=flush,
+                            tail_width=tail_width).run(chunks)
 
 
 def simulate_auto(addresses, config: CacheConfig, writes=None,
                   flush: bool = False, rng_seed: int = 0) -> CacheStats:
     """:func:`simulate`, falling back to the scalar simulator for
-    configurations without a kernel (random replacement).  Accepts the
-    same chunk iterators as :func:`simulate` — the scalar fallback
-    streams them too (``Cache.run`` is incremental)."""
+    configurations without a kernel (random replacement).  The
+    fallback streams the same chunks (``Cache.run`` is incremental)."""
     if supports(config):
         return simulate(addresses, config, writes=writes, flush=flush)
     cache = Cache(config, rng_seed=rng_seed)
-    chunk_iter = as_chunk_iter(addresses)
-    if chunk_iter is not None:
-        if writes is not None:
-            raise ValueError(
-                "with a chunk iterator, pass writes inside each chunk "
-                "as (addresses, writes) pairs")
-        for chunk in chunk_iter:
-            chunk_addrs, chunk_writes = _split_chunk(chunk)
-            cache.run(chunk_addrs, chunk_writes)
-    else:
-        cache.run(addresses, None if writes is None else np.asarray(writes))
+    for chunk in as_chunks(addresses, writes):
+        cache.run(*_split_chunk(chunk))
     if flush:
         cache.flush_dirty()
     return cache.stats
@@ -736,71 +635,28 @@ def simulate_auto(addresses, config: CacheConfig, writes=None,
 def lru_hit_depths(line_addrs: np.ndarray, num_sets: int, max_depth: int,
                    tail_width: int = TAIL_WIDTH
                    ) -> Tuple[np.ndarray, int]:
-    """Vectorized :func:`repro.cache.stackdist.lru_depth_histogram`.
+    """Per-set LRU stack depths of every hit, as ``(hist, cold)``.
 
-    One wave pass with ``max_depth`` ways records the stack depth of
-    every hit, yielding the miss count of every associativity up to
-    ``max_depth`` at once (the LRU stack property).
-
-    ``line_addrs`` may be a chunk iterator of line-address arrays (the
-    out-of-core family pass), streamed with persistent stack state.
+    ``hist[d]`` counts hits at stack depth ``d`` (0 = most recently
+    used) and ``cold`` counts references that miss at every depth
+    below ``max_depth``.  One wave pass with ``max_depth`` ways yields
+    the miss count of every associativity up to ``max_depth`` at once
+    (the LRU stack property).  ``line_addrs`` is an in-RAM line trace
+    or a chunk iterator of line-address arrays.
     """
-    chunk_iter = as_chunk_iter(line_addrs)
-    if chunk_iter is not None:
-        depth_pass = ChunkedDepthPass(num_sets, max_depth,
-                                      tail_width=tail_width)
-        for chunk in chunk_iter:
-            depth_pass.feed(np.asarray(chunk))
-        return depth_pass.finish()
-    line_addrs = np.asarray(line_addrs)
-    hist = np.zeros(max_depth, dtype=np.int64)
-    n = len(line_addrs)
-    if n == 0:
-        return hist, 0
-    set_bits = num_sets.bit_length() - 1
-    if line_addrs.dtype == np.uint32 and set_bits >= 2:
-        sets = (line_addrs & np.uint32(num_sets - 1)).astype(np.int32)
-        tags = (line_addrs >> np.uint32(set_bits)).astype(np.int32)
-    else:
-        lines = line_addrs.astype(np.int64)
-        sets = (lines & (num_sets - 1)).astype(np.int32)
-        tags = lines >> set_bits
-    sets, tags, _ = _sort_by_set(sets, tags, None)
-    sets, tags, _, collapsed = _collapse_runs(sets, tags, None)
-    hist[0] += collapsed
-    state = np.full((num_sets, max_depth), EMPTY,
-                    dtype=tags.dtype if tags.dtype == np.int32 else np.int64)
-
-    class _DepthPass:  # _run_waves only reads these three fields
-        policy = POLICY_LRU
-        write_policy = "write-through"
-        write_allocate = True
-
-    _hits, _ = _run_waves(sets, tags, None, _DepthPass, state,
-                          depth_hist=hist, tail_width=tail_width)
-    cold = n - int(hist.sum())
-    return hist, cold
+    return ChunkedDepthPass(num_sets, max_depth,
+                            tail_width=tail_width).run(as_chunks(line_addrs))
 
 
 def kernel_misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
                                    associativities: Sequence[int]
                                    ) -> Dict[int, int]:
-    """Vectorized counterpart of
-    :func:`repro.cache.stackdist.misses_by_associativity`.  Accepts
-    the same chunk iterators as :func:`lru_hit_depths`."""
-    max_assoc = max(associativities)
-    if as_chunk_iter(line_addrs) is not None:
-        depth_pass = ChunkedDepthPass(num_sets, max_assoc)
-        total = 0
-        for chunk in line_addrs if hasattr(line_addrs, "__next__") \
-                else iter(line_addrs):
-            chunk = np.asarray(chunk)
-            total += len(chunk)
-            depth_pass.feed(chunk)
-        hist, _cold = depth_pass.finish()
-    else:
-        hist, _cold = lru_hit_depths(line_addrs, num_sets, max_assoc)
-        total = len(np.asarray(line_addrs))
+    """LRU miss counts for several associativities sharing one set
+    count, from one depth pass.  Accepts the same inputs as
+    :func:`lru_hit_depths`."""
+    hist, cold = ChunkedDepthPass(num_sets, max(associativities)).run(
+        as_chunks(line_addrs))
+    total = int(hist.sum()) + cold
     cumulative = np.cumsum(hist)
     return {assoc: int(total - cumulative[assoc - 1])
             for assoc in associativities}

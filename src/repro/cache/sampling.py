@@ -21,13 +21,15 @@ traces (the ablation benchmark does exactly that):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal
+from typing import List, Literal, get_args
 
 import numpy as np
 
-from .cache import Cache, CacheConfig
+from .cache import CacheConfig
+from .kernels import simulate_auto
 
 WarmupPolicy = Literal["cold", "discard", "continuous"]
+WARMUP_POLICIES = get_args(WarmupPolicy)
 
 
 @dataclass
@@ -44,6 +46,8 @@ class SampleEstimate:
 def sample_intervals(length: int, num_samples: int,
                      sample_length: int) -> List[slice]:
     """Evenly spaced interval slices over a trace of ``length``."""
+    if num_samples < 1 or sample_length < 1:
+        raise ValueError("num_samples and sample_length must be positive")
     if num_samples * sample_length >= length:
         return [slice(0, length)]
     stride = length // num_samples
@@ -55,32 +59,34 @@ def estimate_miss_rate(addresses: np.ndarray, config: CacheConfig,
                        num_samples: int = 10, sample_length: int = 50_000,
                        policy: WarmupPolicy = "discard",
                        warmup_fraction: float = 0.3) -> SampleEstimate:
-    """Estimate a cache's miss rate from sampled trace intervals."""
-    intervals = sample_intervals(len(addresses), num_samples, sample_length)
-    cache = Cache(config)
-    misses = 0
-    counted = 0
-    for interval in intervals:
-        chunk = addresses[interval]
-        if policy == "cold":
-            cache = Cache(config)
-            before = cache.stats.misses
-            cache.run(chunk)
-            misses += cache.stats.misses - before
-            counted += len(chunk)
-        elif policy == "discard":
-            cache = Cache(config)
+    """Estimate a cache's miss rate from sampled trace intervals.
+
+    Each interval is one chunk of the cache engine's stream: ``cold``
+    simulates every interval on its own, ``discard`` counts the misses
+    of ``[warm, rest]`` minus those of ``warm``, and ``continuous``
+    streams all intervals through one cache.
+    """
+    if policy not in WARMUP_POLICIES:
+        raise ValueError(f"unknown warm-up policy {policy!r}; "
+                         f"expected one of {WARMUP_POLICIES}")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    addresses = np.asarray(addresses)
+    chunks = [addresses[interval] for interval in
+              sample_intervals(len(addresses), num_samples, sample_length)]
+    counted = sum(len(chunk) for chunk in chunks)
+    if policy == "cold":
+        misses = sum(simulate_auto(chunk, config).misses for chunk in chunks)
+    elif policy == "discard":
+        misses = 0
+        for chunk in chunks:
             warm = int(len(chunk) * warmup_fraction)
-            cache.run(chunk[:warm])
-            before = cache.stats.misses
-            cache.run(chunk[warm:])
-            misses += cache.stats.misses - before
-            counted += len(chunk) - warm
-        else:  # continuous: keep state across the gaps
-            before = cache.stats.misses
-            cache.run(chunk)
-            misses += cache.stats.misses - before
-            counted += len(chunk)
+            misses += (simulate_auto([chunk[:warm], chunk[warm:]],
+                                     config).misses
+                       - simulate_auto(chunk[:warm], config).misses)
+            counted -= warm
+    else:  # continuous: keep state across the gaps
+        misses = simulate_auto(chunks, config).misses
     rate = misses / counted if counted else 0.0
     return SampleEstimate(config=config, policy=policy,
                           sampled_refs=counted, measured_misses=misses,
@@ -89,9 +95,7 @@ def estimate_miss_rate(addresses: np.ndarray, config: CacheConfig,
 
 def full_miss_rate(addresses: np.ndarray, config: CacheConfig) -> float:
     """Ground truth: simulate the entire trace."""
-    cache = Cache(config)
-    cache.run(addresses)
-    return cache.stats.miss_rate
+    return simulate_auto(addresses, config).miss_rate
 
 
 def sampling_error_study(addresses: np.ndarray, config: CacheConfig,
@@ -104,7 +108,7 @@ def sampling_error_study(addresses: np.ndarray, config: CacheConfig,
     """
     truth = full_miss_rate(addresses, config)
     out = {"full": truth}
-    for policy in ("cold", "discard", "continuous"):
+    for policy in WARMUP_POLICIES:
         estimate = estimate_miss_rate(addresses, config,
                                       num_samples=num_samples,
                                       sample_length=sample_length,

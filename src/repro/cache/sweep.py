@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cache import Cache, CacheConfig
+from . import kernels
+from .cache import CacheConfig
 from .hierarchy import RegionMix
-from .stackdist import collapse_consecutive, misses_by_associativity, to_line_addresses
+from .kernels import to_line_addresses
 
 PAPER_SIZES = [1024 << i for i in range(7)]       # 1 KB .. 64 KB
 PAPER_LINE_SIZES = [16, 32]
@@ -58,72 +59,21 @@ class SweepPoint:
         return mix.cached_time(self.miss_rate)
 
 
-def sweep_reference(addresses: np.ndarray,
-                    configs: Sequence[CacheConfig]) -> List[SweepPoint]:
-    """Simulate each configuration independently (slow, trusted)."""
-    points = []
-    for config in configs:
-        cache = Cache(config)
-        stats = cache.run(addresses)
-        points.append(SweepPoint(config, stats.accesses, stats.misses))
-    return points
-
-
-def sweep_paper_grid(addresses: np.ndarray,
-                     sizes: Sequence[int] = PAPER_SIZES,
-                     line_sizes: Sequence[int] = PAPER_LINE_SIZES,
-                     associativities: Sequence[int] = PAPER_ASSOCIATIVITIES,
-                     ) -> List[SweepPoint]:
-    """All size x line x associativity LRU configurations, fast.
-
-    Configurations sharing (line size, set count) are simulated in one
-    stack pass; consecutive same-line references are collapsed first
-    (they hit in any cache of that line size).
-    """
-    addresses = np.asarray(addresses, dtype=np.uint32)
-    total_refs = len(addresses)
-    points: List[SweepPoint] = []
-    for line in line_sizes:
-        line_addrs = to_line_addresses(addresses, line)
-        collapsed, _guaranteed_hits = collapse_consecutive(line_addrs)
-        # Group the grid by set count.
-        by_sets: Dict[int, List[CacheConfig]] = {}
-        for size in sizes:
-            for assoc in associativities:
-                if size < line * assoc:
-                    continue
-                config = CacheConfig(size=size, line_size=line,
-                                     associativity=assoc)
-                by_sets.setdefault(config.num_sets, []).append(config)
-        for num_sets, family in sorted(by_sets.items()):
-            assocs = sorted({c.associativity for c in family})
-            misses = misses_by_associativity(collapsed, num_sets, assocs)
-            for config in family:
-                points.append(SweepPoint(
-                    config=config,
-                    accesses=total_refs,
-                    misses=misses[config.associativity],
-                ))
-    points.sort(key=lambda p: (p.config.line_size, p.config.size,
-                               p.config.associativity))
-    return points
-
-
 # ----------------------------------------------------------------------
 # Parallel sweep engine
 # ----------------------------------------------------------------------
 #
-# The trace is placed in a ``multiprocessing.shared_memory`` segment
-# once; forked workers attach read-only numpy views instead of
-# receiving pickled copies.  Work units are either whole (line size,
-# set count) families of the paper grid (one stack pass each, via the
-# vectorized kernels) or individual ablation configurations.  Results
-# are keyed by unit index, so assembly order — and therefore the
-# returned list — is identical for any job count, including the serial
-# fallback.
+# Workers read one chunk source: the PTRC container (or archive)
+# streamed off disk, or the in-RAM trace as a single chunk.  The source
+# is set in the parent before the pool forks, so workers inherit it
+# copy-on-write instead of receiving pickled copies.  Work units are
+# either whole (line size, set count) families of the paper grid (one
+# stack pass each) or individual ablation configurations.  Results are
+# keyed by unit index, so assembly order — and therefore the returned
+# list — is identical for any job count, including the serial loop.
 
-#: Worker-side views of the shared trace, set by :func:`_pool_init`.
-_SHARED: dict = {}
+#: The trace the workers read, set by :func:`_run_units`.
+_SOURCE: dict = {}
 
 #: First element of a worker's in-band error report (see :func:`_guard`).
 _ERROR_SENTINEL = "__sweep-worker-error__"
@@ -133,10 +83,10 @@ class SweepWorkerError(RuntimeError):
     """A sweep worker failed: it raised, was killed, or exceeded the
     per-chunk timeout.
 
-    Deliberately a ``RuntimeError``: the serial fallback in
-    :func:`_run_units` swallows ``ValueError`` (shared-memory setup
-    failures), and a worker's *computation* failing must never be
-    mistaken for the *fan-out machinery* being unavailable.
+    Deliberately a ``RuntimeError``: :func:`_run_units` falls back to
+    the serial loop on ``ValueError`` from pool setup, and a worker's
+    *computation* failing must never be mistaken for the *fan-out
+    machinery* being unavailable.
     """
 
 
@@ -168,89 +118,47 @@ def _check_result(result, unit) -> object:
     return result
 
 
-def _pool_init_container(container_path: str, memory_only: bool) -> None:
-    """Worker init for the by-chunk sharding mode: no shared memory at
-    all — each worker streams chunks straight from the PTRC container
-    (or archive) on disk, so its resident footprint is one decode
-    window regardless of trace size."""
-    _SHARED.update(container=container_path, memory_only=memory_only,
-                   addresses=None, writes=None, segments=())
+def _source_chunks():
+    """The sweep's trace as ``(addresses, writes)`` chunks: streamed
+    from the container with bounded memory, or the in-RAM arrays as
+    one chunk."""
+    container = _SOURCE["container"]
+    if container is None:
+        yield _SOURCE["addresses"], _SOURCE["writes"]
+        return
+    from ..traces.container import open_chunk_source
 
-
-def _pool_init(shm_name: str, n: int, dtype: str,
-               writes_shm_name: Optional[str]) -> None:
-    from multiprocessing import shared_memory
-
-    # Workers are forked, so they share the parent's resource tracker:
-    # attaching re-registers the same name idempotently and the
-    # parent's unlink cleans it up exactly once.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    addresses = np.ndarray((n,), dtype=np.dtype(dtype), buffer=shm.buf)
-    writes = None
-    wshm = None
-    if writes_shm_name is not None:
-        wshm = shared_memory.SharedMemory(name=writes_shm_name)
-        writes = np.ndarray((n,), dtype=bool, buffer=wshm.buf)
-    # Keep the SharedMemory objects alive for the worker's lifetime;
-    # dropping them would invalidate the views.
-    _SHARED.update(addresses=addresses, writes=writes,
-                   segments=(shm, wshm))
+    src = open_chunk_source(container)
+    try:
+        yield from src.cache_chunks(memory_only=_SOURCE["memory_only"])
+    finally:
+        if hasattr(src, "close"):
+            src.close()
 
 
 def _family_unit_impl(unit: Tuple[int, int, Tuple[int, ...]]):
     """Paper-grid unit: one (line size, set count) family, all
-    associativities in a single vectorized stack pass.  In container
-    mode the pass streams chunk by chunk (bounded memory) and returns
-    ``(total_refs, misses)`` — the parent cannot know the post-filter
-    reference count without decoding the trace itself."""
-    from . import kernels
-
+    associativities in a single vectorized stack pass.  Returns
+    ``(total_refs, misses)``: the reference count comes from the same
+    pass, so a streamed trace is decoded once."""
     line, num_sets, assocs = unit
-    container = _SHARED.get("container")
-    if container is not None:
-        from ..traces.container import open_chunk_source
+    total = 0
 
-        src = open_chunk_source(container)
-        total = 0
-        try:
-            def line_chunks():
-                nonlocal total
-                for addrs, _writes in src.cache_chunks(
-                        memory_only=_SHARED["memory_only"]):
-                    total += len(addrs)
-                    yield to_line_addresses(addrs, line)
+    def line_chunks():
+        nonlocal total
+        for addresses, _writes in _source_chunks():
+            total += len(addresses)
+            yield to_line_addresses(addresses, line)
 
-            misses = kernels.kernel_misses_by_associativity(
-                line_chunks(), num_sets, list(assocs))
-        finally:
-            if hasattr(src, "close"):
-                src.close()
-        return (total, misses)
-    line_addrs = to_line_addresses(_SHARED["addresses"], line)
-    return kernels.kernel_misses_by_associativity(line_addrs, num_sets,
-                                                  list(assocs))
+    misses = kernels.kernel_misses_by_associativity(
+        line_chunks(), num_sets, list(assocs))
+    return total, misses
 
 
 def _config_unit_impl(config: CacheConfig) -> Tuple[int, int, int, int]:
     """Ablation unit: one full configuration (any policy) through the
     kernels, with the scalar simulator as automatic fallback."""
-    from . import kernels
-
-    container = _SHARED.get("container")
-    if container is not None:
-        from ..traces.container import open_chunk_source
-
-        src = open_chunk_source(container)
-        try:
-            stats = kernels.simulate_auto(
-                src.cache_chunks(memory_only=_SHARED["memory_only"]),
-                config)
-        finally:
-            if hasattr(src, "close"):
-                src.close()
-    else:
-        stats = kernels.simulate_auto(_SHARED["addresses"], config,
-                                      writes=_SHARED["writes"])
+    stats = kernels.simulate_auto(_source_chunks(), config)
     return (stats.accesses, stats.misses, stats.writebacks,
             stats.write_throughs)
 
@@ -264,9 +172,8 @@ def _config_unit(config):
 
 
 def _grid_units(sizes, line_sizes, associativities):
-    """The (line, num_sets) families of the grid, largest first (better
-    load balance: big families take longest), plus the config list each
-    family covers."""
+    """The (line, num_sets) families of the grid plus the config list
+    each family covers."""
     units = []
     for line in line_sizes:
         by_sets: Dict[int, List[CacheConfig]] = {}
@@ -288,112 +195,52 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                chunk_timeout: Optional[float] = None,
                container: Optional[str] = None,
                memory_only: bool = True) -> List:
-    """Map ``worker`` over ``units`` with ``jobs`` forked processes
-    sharing the trace, or serially in-process.
+    """Map ``worker`` over ``units`` with ``jobs`` forked processes, or
+    serially in-process.
 
-    With ``container`` set (by-chunk sharding mode) there is no shared
-    memory at all: workers stream chunks from the PTRC file/archive on
-    disk, and ``addresses``/``writes`` are unused.
-
-    Serial fallback triggers on ``jobs <= 1`` and whenever fork or
-    shared memory is unavailable.  A worker that raises surfaces as a
-    typed :class:`SweepWorkerError`; with ``chunk_timeout`` set, so
-    does a worker that takes longer than that many seconds on one unit
-    (the way a SIGKILLed worker shows up: its unit simply never
-    finishes, because ``Pool`` respawns the process but the task is
-    lost).  The shared segments are closed and unlinked on *every*
-    exit path — normal, worker failure, timeout, KeyboardInterrupt —
-    via the ``finally`` below, so no ``/dev/shm`` segment outlives the
-    call.
+    The workers' chunk source is ``container`` when set, else the
+    in-RAM ``addresses``/``writes``; it is published in :data:`_SOURCE`
+    before the fork and cleared on every exit path.  The serial loop
+    runs on ``jobs <= 1`` and whenever a fork pool cannot be created.
+    A worker that raises surfaces as a typed :class:`SweepWorkerError`;
+    with ``chunk_timeout`` set, so does a worker that takes longer than
+    that many seconds on one unit (the way a SIGKILLed worker shows up:
+    its unit simply never finishes, because ``Pool`` respawns the
+    process but the task is lost).
     """
     units = list(units)
-    if container is not None and jobs > 1:
-        try:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(jobs, initializer=_pool_init_container,
-                          initargs=(container, memory_only)) as pool:
-                it = pool.imap(worker, units, chunksize=1)
-                results = []
-                for index, unit in enumerate(units):
-                    try:
-                        if chunk_timeout is not None:
-                            result = it.next(chunk_timeout)
-                        else:
-                            result = next(it)
-                    except multiprocessing.TimeoutError:
-                        raise SweepWorkerError(
-                            f"sweep worker exceeded the {chunk_timeout:g}s "
-                            f"chunk timeout on unit {index} "
-                            f"({unit!r}) — worker killed or wedged"
-                        ) from None
-                    results.append(_check_result(result, unit))
-                return results
-        except (ImportError, OSError, ValueError):
-            pass  # no fork: fall through to serial streaming
-    if container is not None:
-        _SHARED.update(container=container, memory_only=memory_only,
-                       addresses=None, writes=None, segments=())
-        try:
-            return [_check_result(worker(u), u) for u in units]
-        finally:
-            _SHARED.clear()
-    if jobs > 1:
-        try:
-            import multiprocessing
-            from multiprocessing import shared_memory
-
-            ctx = multiprocessing.get_context("fork")
-            shm = shared_memory.SharedMemory(create=True,
-                                             size=max(1, addresses.nbytes))
-            wshm = None
-            try:
-                np.ndarray(addresses.shape, dtype=addresses.dtype,
-                           buffer=shm.buf)[:] = addresses
-                writes_name = None
-                if writes is not None:
-                    wshm = shared_memory.SharedMemory(
-                        create=True, size=max(1, writes.nbytes))
-                    np.ndarray(writes.shape, dtype=bool,
-                               buffer=wshm.buf)[:] = writes
-                    writes_name = wshm.name
-                with ctx.Pool(
-                        jobs, initializer=_pool_init,
-                        initargs=(shm.name, len(addresses),
-                                  addresses.dtype.str, writes_name)) as pool:
-                    # imap (not map): per-unit collection makes a
-                    # per-chunk timeout possible at all — map would
-                    # block forever on a unit whose worker was killed.
-                    it = pool.imap(worker, units, chunksize=1)
-                    results = []
-                    for index, unit in enumerate(units):
-                        try:
-                            if chunk_timeout is not None:
-                                result = it.next(chunk_timeout)
-                            else:
-                                result = next(it)
-                        except multiprocessing.TimeoutError:
-                            raise SweepWorkerError(
-                                f"sweep worker exceeded the {chunk_timeout:g}s "
-                                f"chunk timeout on unit {index} "
-                                f"({unit!r}) — worker killed or wedged"
-                            ) from None
-                        results.append(_check_result(result, unit))
-                    return results
-            finally:
-                shm.close()
-                shm.unlink()
-                if wshm is not None:
-                    wshm.close()
-                    wshm.unlink()
-        except (ImportError, OSError, ValueError):
-            pass  # no fork / no shared memory: fall through to serial
-    _SHARED.update(addresses=addresses, writes=writes, segments=())
+    _SOURCE.update(addresses=addresses, writes=writes, container=container,
+                   memory_only=memory_only)
     try:
-        return [_check_result(worker(u), u) for u in units]
+        pool = None
+        if jobs > 1:
+            try:
+                import multiprocessing
+
+                pool = multiprocessing.get_context("fork").Pool(jobs)
+            except (ImportError, OSError, ValueError):
+                pass  # no fork: run the serial loop
+        if pool is None:
+            return [_check_result(worker(u), u) for u in units]
+        with pool:
+            # imap (not map): per-unit collection makes a per-chunk
+            # timeout possible at all — map would block forever on a
+            # unit whose worker was killed.
+            it = pool.imap(worker, units, chunksize=1)
+            results = []
+            for index, unit in enumerate(units):
+                try:
+                    result = it.next(chunk_timeout)
+                except multiprocessing.TimeoutError:
+                    raise SweepWorkerError(
+                        f"sweep worker exceeded the {chunk_timeout:g}s "
+                        f"chunk timeout on unit {index} "
+                        f"({unit!r}) — worker killed or wedged"
+                    ) from None
+                results.append(_check_result(result, unit))
+            return results
     finally:
-        _SHARED.clear()
+        _SOURCE.clear()
 
 
 def sweep_parallel(addresses: Optional[np.ndarray] = None,
@@ -411,22 +258,19 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
 
     Without ``configs`` this runs the paper grid: each (line size,
     set count) family is one work unit simulated in a single vectorized
-    stack pass (results match :func:`sweep_paper_grid` exactly).  With
-    ``configs`` each configuration is one unit through the batch
-    kernels — any policy/write-mode mix, e.g. the ablation grid — and
-    the returned points carry write-back/write-through counts.
+    stack pass.  With ``configs`` each configuration is one unit
+    through the batch kernels — any policy/write-mode mix, e.g. the
+    ablation grid — and the returned points carry write-back/
+    write-through counts.
 
-    Two trace-sharing modes:
-
-    *  **In-RAM** (``addresses``): the trace (and write mask) is shared
-       with workers through ``multiprocessing.shared_memory``.
-    *  **By-chunk sharding** (``container``): pass a PTRC container
-       file (or archive directory) instead of arrays.  Workers stream
-       chunks from disk through the out-of-core kernels — resident
-       memory stays bounded by the chunk decode window however large
-       the archived trace is, and results are bit-identical to the
-       in-RAM pass on the same references.  ``memory_only`` mirrors
-       ``ReferenceTrace.memory_only()`` (drop hardware references).
+    The trace is either in RAM (``addresses`` and an optional
+    ``writes`` mask), which forked workers inherit copy-on-write, or a
+    PTRC container file or archive directory (``container``), which
+    each worker streams chunk by chunk — resident memory stays bounded
+    by the chunk decode window however large the archived trace is,
+    and results are identical to the in-RAM sweep over the same
+    references.  ``memory_only`` mirrors
+    ``ReferenceTrace.memory_only()`` (drop hardware references).
 
     Result order is deterministic and independent of ``jobs``;
     ``jobs <= 1`` or an unavailable fork start method degrades
@@ -461,17 +305,10 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
     results = _run_units(_family_unit, [u for u, _ in units], jobs,
                          addresses, writes, chunk_timeout,
                          container=container, memory_only=memory_only)
-    if container is not None:
-        # Container-mode family units report (total_refs, misses).
-        total_refs = results[0][0] if results else 0
-        results = [misses for _total, misses in results]
-    else:
-        total_refs = len(addresses)
-    points: List[SweepPoint] = []
-    for (_, family), misses in zip(units, results):
-        for config in family:
-            points.append(SweepPoint(config=config, accesses=total_refs,
-                                     misses=misses[config.associativity]))
+    points = [SweepPoint(config=config, accesses=total,
+                         misses=misses[config.associativity])
+              for (_, family), (total, misses) in zip(units, results)
+              for config in family]
     points.sort(key=lambda p: (p.config.line_size, p.config.size,
                                p.config.associativity))
     return points

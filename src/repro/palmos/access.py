@@ -15,7 +15,7 @@ them through one of two accessors:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 if TYPE_CHECKING:
     from ..m68k.bus import FlatMemory

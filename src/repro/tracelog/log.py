@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 from ..palmos.database import DatabaseImage, RecordImage
 from .records import LogEventType, LogRecord

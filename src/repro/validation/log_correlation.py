@@ -16,7 +16,7 @@ matching plus the tick-slip distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..tracelog import ActivityLog
 from ..tracelog.records import LogEventType, LogRecord

@@ -1,6 +1,5 @@
 """Tests for the analysis layer: report formatters and energy models."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -13,7 +12,7 @@ from repro.analysis import (
     format_table1,
     format_validation,
 )
-from repro.cache import CacheConfig, RegionMix
+from repro.cache import RegionMix
 from repro.cache.sweep import SweepPoint, paper_configurations
 from repro.hacks.overhead import OverheadPoint
 

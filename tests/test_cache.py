@@ -14,14 +14,16 @@ from repro.cache import (
     POLICY_RANDOM,
     RegionMix,
     WRITE_BACK,
-    collapse_consecutive,
     effective_access_time,
-    misses_by_associativity,
     no_cache_access_time,
     paper_configurations,
-    sweep_paper_grid,
-    sweep_reference,
+    sweep_parallel,
     to_line_addresses,
+)
+from repro.cache.oracle import (
+    collapse_consecutive,
+    misses_by_associativity,
+    sweep_reference,
 )
 from repro.traces import generate_desktop_trace
 
@@ -211,14 +213,14 @@ class TestSweep:
 
     def test_sweep_covers_grid(self):
         trace = generate_desktop_trace(15_000, seed=3)
-        points = sweep_paper_grid(trace)
+        points = sweep_parallel(trace)
         assert len(points) == 56
         assert all(0.0 <= p.miss_rate <= 1.0 for p in points)
 
     def test_sweep_matches_reference_on_sample(self):
         trace = generate_desktop_trace(8_000, seed=4)
         fast = {(p.config.size, p.config.line_size, p.config.associativity):
-                p.misses for p in sweep_paper_grid(trace)}
+                p.misses for p in sweep_parallel(trace)}
         sample = [CacheConfig(4096, 16, 2), CacheConfig(1024, 32, 8),
                   CacheConfig(65536, 16, 1)]
         for point in sweep_reference(trace, sample):
@@ -231,7 +233,7 @@ class TestSweep:
         cache's misses are <= a smaller one's."""
         trace = generate_desktop_trace(15_000, seed=5)
         from repro.cache import grid_by_config
-        grid = grid_by_config(sweep_paper_grid(trace))
+        grid = grid_by_config(sweep_parallel(trace))
         for line in (16, 32):
             for assoc in (1, 2, 4, 8):
                 rates = [grid[(size, line, assoc)].misses

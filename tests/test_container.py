@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig, sweep_parallel
+from repro.cache import CacheConfig, CacheStats, sweep_parallel
 from repro.cache.cache import (
     POLICY_FIFO,
     POLICY_RANDOM,
@@ -24,8 +24,8 @@ from repro.cache.kernels import (
     lru_hit_depths,
     simulate,
     simulate_auto,
+    to_line_addresses,
 )
-from repro.cache.stackdist import lru_family_stats, to_line_addresses
 from repro.device.memmap import (
     KIND_FETCH,
     KIND_READ,
@@ -81,6 +81,24 @@ def random_accesses(n: int, seed: int = 0, addr_bits: int = 14):
 
 def chunked(arr, size):
     return [arr[i:i + size] for i in range(0, len(arr), size)]
+
+
+def input_forms(addrs, writes=None, chunk_size=97):
+    """The trace in each input form the cache engine turns into a chunk
+    stream, as ``(trace, writes, n)``: an ndarray, a plain list, a chunk
+    list, and the empty trace as an array and as an iterator (``n`` is
+    the trace length, 0 for the empty forms)."""
+    chunks = chunked(addrs, chunk_size)
+    if writes is not None:
+        chunks = list(zip(chunks, chunked(writes, chunk_size)))
+    n = len(addrs)
+    return [
+        (addrs, writes, n),
+        (addrs.tolist(), None if writes is None else writes.tolist(), n),
+        (chunks, None, n),
+        (addrs[:0], None if writes is None else writes[:0], 0),
+        (iter([]), None, 0),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +218,9 @@ class TestOutOfCoreKernels:
         parts = list(zip(chunked(addrs, chunk_size),
                          chunked(writes, chunk_size)))
         assert simulate(iter(parts), config) == whole
+        for trace, mask, n in input_forms(addrs, writes, chunk_size):
+            assert simulate(trace, config, writes=mask) == \
+                (whole if n else CacheStats())
 
     def test_write_free_chunks_keep_dirty_state(self):
         # A dirty line from chunk 0 must still cost a writeback when
@@ -221,6 +242,9 @@ class TestOutOfCoreKernels:
         whole = simulate_auto(addrs, config, writes=writes)
         parts = list(zip(chunked(addrs, 97), chunked(writes, 97)))
         assert simulate_auto(iter(parts), config) == whole
+        for trace, mask, n in input_forms(addrs, writes):
+            assert simulate_auto(trace, config, writes=mask) == \
+                (whole if n else CacheStats())
 
     def test_lru_hit_depths_chunked(self):
         addrs, _ = random_accesses(2000, seed=5)
@@ -228,13 +252,10 @@ class TestOutOfCoreKernels:
         whole_hist, whole_cold = lru_hit_depths(lines, 32, 8)
         hist, cold = lru_hit_depths(iter(chunked(lines, 111)), 32, 8)
         assert np.array_equal(hist, whole_hist) and cold == whole_cold
-
-    def test_family_stats_chunked(self):
-        addrs, writes = random_accesses(1500, seed=6)
-        lines = to_line_addresses(addrs, 16)
-        whole = lru_family_stats(lines, writes, 16, (1, 2, 4))
-        parts = list(zip(chunked(lines, 64), chunked(writes, 64)))
-        assert lru_family_stats(iter(parts), None, 16, (1, 2, 4)) == whole
+        for trace, _, n in input_forms(lines):
+            hist, cold = lru_hit_depths(trace, 32, 8)
+            assert np.array_equal(hist, whole_hist if n else np.zeros(8))
+            assert cold == (whole_cold if n else 0)
 
     def test_kernel_misses_chunked(self):
         addrs, _ = random_accesses(1500, seed=8)
@@ -242,6 +263,9 @@ class TestOutOfCoreKernels:
         whole = kernel_misses_by_associativity(lines, 16, (1, 2, 8))
         parts = iter(chunked(lines, 190))
         assert kernel_misses_by_associativity(parts, 16, (1, 2, 8)) == whole
+        for trace, _, n in input_forms(lines):
+            assert kernel_misses_by_associativity(trace, 16, (1, 2, 8)) == \
+                (whole if n else {1: 0, 2: 0, 8: 0})
 
     def test_container_simulate_matches_in_ram(self, tmp_path):
         tokens = random_tokens(4000, seed=11)
@@ -260,15 +284,13 @@ class TestOutOfCoreKernels:
         write_container(tokens, path, chunk_tokens=500)
         addrs, kinds = unpack_tokens(tokens)
         trace = ReferenceTrace(addresses=addrs, kinds=kinds).memory_only()
-        sizes = (1024, 2048)
-        in_ram = sweep_parallel(trace.addresses, sizes=sizes,
-                                line_sizes=(16, 32),
-                                associativities=(1, 2))
-        streamed = sweep_parallel(container=path, sizes=sizes,
-                                  line_sizes=(16, 32),
-                                  associativities=(1, 2))
-        assert [(p.config, p.misses) for p in streamed] == \
-            [(p.config, p.misses) for p in in_ram]
+        grid = dict(sizes=(1024, 2048), line_sizes=(16, 32),
+                    associativities=(1, 2))
+        for jobs in (1, 2):
+            in_ram = sweep_parallel(trace.addresses, jobs=jobs, **grid)
+            streamed = sweep_parallel(container=path, jobs=jobs, **grid)
+            assert [(p.config, p.accesses, p.misses) for p in streamed] == \
+                [(p.config, p.accesses, p.misses) for p in in_ram]
 
     def test_sweep_rejects_both_sources(self, tmp_path):
         with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ from repro.device import Button
 from repro.emulator import (
     Emulator,
     JitterModel,
-    PlaybackDriver,
-    Profiler,
     ReferenceTrace,
     RomMismatchError,
     replay_session,

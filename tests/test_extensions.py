@@ -108,6 +108,39 @@ class TestTraceSampling:
         assert estimate.sampled_refs == 40_000
         assert 0 <= estimate.estimated_miss_rate <= 1
 
+    @pytest.mark.parametrize("call", [
+        lambda t: estimate_miss_rate(t, TestTraceSampling.CONFIG,
+                                     policy="contiuous"),
+        lambda t: estimate_miss_rate(t, TestTraceSampling.CONFIG,
+                                     num_samples=2, sample_length=10_000,
+                                     warmup_fraction=1.5),
+        lambda t: sample_intervals(1000, 0, 10),
+    ], ids=["misspelled-policy", "warmup-fraction", "zero-samples"])
+    def test_bad_arguments_raise_value_error(self, trace, call):
+        with pytest.raises(ValueError):
+            call(trace)
+
+    @pytest.mark.parametrize("policy", ["cold", "discard", "continuous"])
+    def test_estimate_matches_scalar_cache(self, trace, policy):
+        """The engine-based estimate equals per-interval scalar
+        simulation, for a kernel policy and the scalar-only one."""
+        from repro.cache import Cache
+        for config in (self.CONFIG, CacheConfig(8192, 16, 2, policy="random")):
+            estimate = estimate_miss_rate(trace, config, num_samples=4,
+                                          sample_length=10_000, policy=policy)
+            cache = Cache(config)
+            misses = 0
+            for interval in sample_intervals(len(trace), 4, 10_000):
+                chunk = trace[interval]
+                warm = int(len(chunk) * 0.3) if policy == "discard" else 0
+                if policy != "continuous":
+                    cache = Cache(config)
+                cache.run(chunk[:warm])
+                before = cache.stats.misses
+                cache.run(chunk[warm:])
+                misses += cache.stats.misses - before
+            assert estimate.measured_misses == misses, config.policy
+
     def test_full_rate_matches_direct_simulation(self, trace):
         from repro.cache import Cache
         cache = Cache(self.CONFIG)

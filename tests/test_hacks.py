@@ -3,7 +3,7 @@ reset persistence, and the overhead measurements of §2.3.3."""
 
 import pytest
 
-from repro.device import Button, constants as C
+from repro.device import Button
 from repro.hacks import (
     HackManager,
     measure_hack_overhead,
@@ -14,7 +14,6 @@ from repro.hacks import (
 from repro.hacks.logging_hacks import (
     evt_enqueue_key_hack,
     key_current_state_hack,
-    standard_hacks,
     sys_random_hack,
 )
 from repro.palmos import EXTENSIONS_DB_NAME, Trap

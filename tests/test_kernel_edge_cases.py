@@ -14,7 +14,7 @@ from repro.palmos.traps import (
     ERR_MEM_INVALID_PTR,
 )
 
-from tests.palmos_utils import RECORDER_APP, make_kernel
+from tests.palmos_utils import make_kernel
 
 
 class TestEventQueueOverflow:

@@ -6,10 +6,12 @@ reference simulator byte for byte: hypothesis drives randomized traces
 through every policy/write-mode combination and compares whole
 ``CacheStats``; the parallel sweep must return identical points for
 any job count and must never leak shared-memory segments, even when a
-worker dies.
+worker dies.  The scalar passes live in :mod:`repro.cache.oracle`.
 """
 
+import ast
 import glob
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,16 +28,19 @@ from repro.cache import (
     WRITE_BACK,
     WRITE_THROUGH,
     kernel_misses_by_associativity,
-    lru_depth_histogram,
-    lru_family_stats,
     lru_hit_depths,
-    misses_by_associativity,
     simulate,
     simulate_auto,
-    sweep_paper_grid,
     sweep_parallel,
     to_line_addresses,
 )
+from repro.cache.oracle import (
+    lru_depth_histogram,
+    misses_by_associativity,
+    sweep_grid,
+)
+import repro
+import repro.cache
 import repro.cache.sweep as sweep_module
 
 STAT_FIELDS = ("accesses", "hits", "misses", "writebacks",
@@ -141,32 +146,6 @@ class TestKernelDifferential:
         assert ref == got
 
 
-class TestFamilyStats:
-    @settings(max_examples=30, deadline=None)
-    @given(trace=traces, num_sets=st.sampled_from([1, 8, 64]))
-    def test_family_pass_matches_per_config_simulation(self, trace,
-                                                       num_sets):
-        """One write-aware stack pass equals 8 scalar simulations (both
-        write policies x 4 associativities)."""
-        addresses = np.array([a for a, _ in trace], dtype=np.uint32)
-        writes = np.array([w for _, w in trace], dtype=bool)
-        line = 16
-        family = lru_family_stats(to_line_addresses(addresses, line),
-                                  writes, num_sets, [1, 2, 4, 8])
-        for assoc, fam in family.items():
-            for write_policy in (WRITE_BACK, WRITE_THROUGH):
-                config = CacheConfig(size=num_sets * line * assoc,
-                                     line_size=line, associativity=assoc,
-                                     write_policy=write_policy)
-                expected = scalar_stats(addresses, config, writes)
-                assert (fam.accesses, fam.hits, fam.misses) == (
-                    expected.accesses, expected.hits, expected.misses)
-                if write_policy == WRITE_BACK:
-                    assert fam.writebacks == expected.writebacks
-                else:
-                    assert fam.write_throughs == expected.write_throughs
-
-
 def _shm_segments():
     return set(glob.glob("/dev/shm/psm_*"))
 
@@ -187,7 +166,7 @@ class TestSweepParallel:
 
     def test_matches_previous_engine(self):
         addresses = self._trace()
-        ref = sweep_paper_grid(addresses)
+        ref = sweep_grid(addresses)
         got = sweep_parallel(addresses, jobs=1)
         assert [(p.config, p.accesses, p.misses) for p in ref] == \
                [(p.config, p.accesses, p.misses) for p in got]
@@ -228,9 +207,9 @@ class TestSweepParallel:
         assert _shm_segments() == before
 
     def test_no_leaked_segments_after_worker_raises(self, monkeypatch):
-        """A worker exception propagates and the shared trace segments
-        are still unlinked (workers are forked, so the monkeypatched
-        unit function crosses into them)."""
+        """A worker exception propagates and leaves no shared-memory
+        segment behind (workers are forked, so the monkeypatched unit
+        function crosses into them)."""
 
         monkeypatch.setattr(sweep_module, "_family_unit", _boom)
         before = _shm_segments()
@@ -249,3 +228,31 @@ class TestSweepParallel:
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         points = sweep_parallel(self._trace(8_000), jobs=1)
         assert len(points) == 56
+
+
+class TestOracleBoundary:
+    #: Scalar passes that must never return to a package namespace.
+    ORACLE_NAMES = {"sweep_paper_grid", "sweep_reference",
+                    "lru_family_stats", "FamilyStats",
+                    "misses_by_associativity", "lru_depth_histogram",
+                    "collapse_consecutive"}
+
+    def test_only_tests_import_the_oracle(self):
+        """Production code runs the chunked engine only: no module of
+        the package imports ``repro.cache.oracle``, and neither package
+        namespace exports a scalar pass."""
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            if path == root / "cache" / "oracle.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any("oracle" in name.split(".") for name in names), \
+                    f"{path.relative_to(root)} imports the oracle"
+        assert not self.ORACLE_NAMES & set(repro.__all__)
+        assert not self.ORACLE_NAMES & set(repro.cache.__all__)

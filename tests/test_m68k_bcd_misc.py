@@ -1,9 +1,7 @@
 """Tests for the rarely-used corners of the 68000 ISA: BCD arithmetic,
 TAS, MOVEP, CHK, and TRAPV."""
 
-import pytest
-
-from tests.m68k_utils import make_cpu, run_asm, run_asm_mem
+from tests.m68k_utils import run_asm, run_asm_mem
 
 
 class TestAbcd:

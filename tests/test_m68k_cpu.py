@@ -3,7 +3,6 @@ logic, shifts, branches, subroutines, and the exception machinery."""
 
 import pytest
 
-from repro.m68k import CPU, FlatMemory
 from repro.m68k.errors import AddressError
 
 from tests.m68k_utils import run_asm, run_asm_mem

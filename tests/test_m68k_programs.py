@@ -3,8 +3,6 @@ core.  These exercise instruction interactions (flag chains, loops,
 subroutines, memory addressing) that single-instruction unit tests
 cannot."""
 
-import pytest
-
 from tests.m68k_utils import run_asm, run_asm_mem
 
 

@@ -4,7 +4,7 @@ full collect-replay of a card session."""
 
 import pytest
 
-from repro import UserScript, collect_session, replay_session, standard_apps
+from repro import UserScript, collect_session, replay_session
 from repro.device.memcard import (
     CARD_WINDOW_BASE,
     MemoryCard,

@@ -3,10 +3,8 @@ input through the full trap path (events, databases, RNG, app switch,
 reset persistence, and the native-vs-dispatcher equivalence POSE's
 design depends on)."""
 
-import pytest
-
 from repro.device import Button
-from repro.palmos import EventType, LAUNCH_DB_NAME, PalmOS, Trap
+from repro.palmos import EventType, LAUNCH_DB_NAME, Trap
 from repro.palmos import layout as L
 from repro.palmos.database import fourcc
 

@@ -5,7 +5,6 @@ This is the deterministic state machine model (§2.1) tested as a
 property rather than on hand-picked workloads.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro import UserScript, collect_session, replay_session, standard_apps
 from repro.device import Button
-from repro.palmos import PalmOS, Trap
+from repro.palmos import PalmOS
 from repro.tracelog import (
     ActivityLog,
     LogEventType,

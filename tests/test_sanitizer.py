@@ -19,7 +19,6 @@ from repro.analysis.static.findings import Severity
 from repro.analysis.static.walker import walk
 from repro.m68k.asm import assemble
 from repro.palmos import layout as L
-from repro.palmos.heap import HeapError
 from repro.palmos.kernel import PalmOS
 from repro.palmos.traps import Trap
 

@@ -1,6 +1,5 @@
 """Tests for the framebuffer renderer and online cache simulation."""
 
-import numpy as np
 import pytest
 
 from repro import replay_session, standard_apps

@@ -1,5 +1,5 @@
 """Hardened sweep fan-out: typed worker errors, per-chunk timeouts,
-and shared-memory cleanup on every exit path."""
+and no shared-memory segment left behind on any exit path."""
 
 import glob
 import os
@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.cache import SweepWorkerError, sweep_paper_grid, sweep_parallel
+from repro.cache import SweepWorkerError, sweep_parallel
+from repro.cache.oracle import sweep_grid
 from repro.cache import sweep as sweep_mod
 
 
@@ -53,8 +54,8 @@ def _guarded_slow_unit(unit):
 
 class TestSweepWorkerError:
     def test_is_not_a_value_error(self):
-        """The serial fallback swallows ValueError (shared-memory setup
-        failures); a worker *computation* failure must never qualify."""
+        """The serial fallback catches ValueError (pool setup failures);
+        a worker *computation* failure must never qualify."""
         assert issubclass(SweepWorkerError, RuntimeError)
         assert not issubclass(SweepWorkerError, ValueError)
 
@@ -91,9 +92,8 @@ class TestSweepStillCorrect:
         fast = sweep_parallel(addresses, jobs=2, chunk_timeout=120.0,
                               sizes=[1024, 4096], line_sizes=[16],
                               associativities=[1, 2])
-        reference = sweep_paper_grid(addresses, sizes=[1024, 4096],
-                                     line_sizes=[16],
-                                     associativities=[1, 2])
+        reference = sweep_grid(addresses, sizes=[1024, 4096],
+                               line_sizes=[16], associativities=[1, 2])
         assert [(p.config.size, p.config.associativity, p.misses)
                 for p in fast] == \
                [(p.config.size, p.config.associativity, p.misses)

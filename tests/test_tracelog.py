@@ -1,8 +1,5 @@
 """Tests for activity-log records, parsing, and state transfer."""
 
-from pathlib import Path
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,6 @@
 """Tests for the write-buffer extension."""
 
 import numpy as np
-import pytest
 
 from repro.cache import CacheConfig
 from repro.cache.writebuffer import (
