@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from ...m68k.decoder import dispatch_table
 from ...m68k.disasm import disassemble_one
 
 M32 = 0xFFFFFFFF
@@ -34,22 +35,6 @@ K_STOP = "stop"              # stop #imm: falls through after an interrupt
 K_ILLEGAL = "illegal"        # no handler in the dispatch table
 K_EXCEPTION = "exception"    # trap #n / illegal mnemonic: vectors away
 
-_dispatch_cache: Optional[list] = None
-
-
-def _dispatch() -> list:
-    """The interpreter's 65536-entry dispatch table (shared, lazy)."""
-    global _dispatch_cache
-    if _dispatch_cache is None:
-        from ...m68k.cpu import CPU
-        if CPU._dispatch is not None:
-            _dispatch_cache = CPU._dispatch
-        else:
-            from ...m68k.decoder import build_dispatch_table
-            _dispatch_cache = build_dispatch_table()
-            CPU._dispatch = _dispatch_cache
-    return _dispatch_cache
-
 
 def is_legal(op: int) -> bool:
     """True when the interpreter has a handler for this opcode word
@@ -58,7 +43,7 @@ def is_legal(op: int) -> bool:
     group = op >> 12
     if group in (0xA, 0xF):
         return True
-    return _dispatch()[op] is not None
+    return dispatch_table()[op] is not None
 
 
 @dataclass

@@ -54,7 +54,7 @@ from .journal import (
     write_json_atomic,
     write_manifest,
 )
-from .worker import plan_to_json, worker_main
+from .worker import import_stage_modules, plan_to_json, worker_main
 
 #: How often the supervisor wakes to reap/spawn when no messages flow.
 _POLL_SECONDS = 0.1
@@ -179,6 +179,7 @@ class FleetSupervisor:
         self._progress(f"{len(todo)} of {len(plans)} session(s) to run "
                        f"({self.jobs} worker(s))")
 
+        import_stage_modules()
         interrupted = False
         counters = {"ran": 0, "retried": 0, "crashes": 0, "hangs": 0}
         with CampaignJournal(self.out_dir / JOURNAL_NAME) as journal:

@@ -30,6 +30,7 @@ uninterrupted run") is built on it.
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 import traceback
@@ -66,6 +67,26 @@ def _apply_chaos(chaos, stage: str, attempt: int) -> None:
         # A real wedge: stop beating and burn wall-clock until the
         # supervisor's hang timeout kills us.
         time.sleep(chaos.get("seconds", 3600.0))
+
+
+#: The modules :func:`run_session` imports on first use.  They stay out
+#: of ``import repro.fleet``; the supervisor imports them once before it
+#: forks, so every session worker inherits them already loaded.
+STAGE_MODULES = (
+    "repro.analysis.energy",
+    "repro.cache.kernels",
+    "repro.resilience",
+    "repro.traces.container",
+    "repro.workloads.gremlins",
+    "repro.workloads.sessions",
+    "repro.workloads.volunteer",
+)
+
+
+def import_stage_modules() -> None:
+    """Import :data:`STAGE_MODULES` (a no-op once they are loaded)."""
+    for name in STAGE_MODULES:
+        importlib.import_module(name)
 
 
 def run_session(plan: SessionPlan, *, policy: str = "resync",

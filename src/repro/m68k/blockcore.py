@@ -6,7 +6,7 @@ that cost the way Shade's trace-generating translation cache and
 Embra's fast machine simulation do: instruction runs are decoded
 **once** into flat lists of ``(pc, next_pc, fetch_token, opcode,
 handler)`` entries keyed by entry pc, then executed in a tight loop
-with no per-step 65536-entry table dispatch and no bus fetch for the
+with no per-step dispatch-table lookup and no bus fetch for the
 opcode word.
 
 Beyond the straight-line blocks of the first fast core, runs are now

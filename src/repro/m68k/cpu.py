@@ -4,10 +4,10 @@ Models the Motorola MC68VZ328 "DragonBall" processor used by the Palm
 m515: a 68EC000 integer core with big-endian memory, eight data and
 eight address registers, and the classic 68000 exception model.
 
-The interpreter is table-driven: a 65536-entry dispatch table maps every
-opcode word to a specialised handler closure (built once per process by
-:mod:`repro.m68k.decoder`).  Two host hooks mirror the structure of the
-Palm OS Emulator described in the paper:
+The interpreter is table-driven: a dispatch table maps every opcode word
+to a specialised handler closure, which :mod:`repro.m68k.decoder` builds
+the first time the word is looked up.  Two host hooks mirror the
+structure of the Palm OS Emulator described in the paper:
 
 * ``aline_handler`` — Palm OS system calls are A-line instructions
   (``0xAxxx``).  With profiling *off* the emulator services them
@@ -22,9 +22,10 @@ Palm OS Emulator described in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Mapping, Optional
 
 from .bus import Bus
+from .decoder import dispatch_table
 from .errors import CpuHalted, IllegalInstructionError
 from .instructions import Handler
 
@@ -52,8 +53,6 @@ _MASK32 = 0xFFFFFFFF
 
 class CPU:
     """A 68000-family CPU attached to a :class:`~repro.m68k.bus.Bus`."""
-
-    _dispatch: Optional[List[Optional[Handler]]] = None  # shared, built lazily
 
     def __init__(
         self,
@@ -93,17 +92,14 @@ class CPU:
         #: attributing them to the previously executed opcode.
         self.interrupt_hook: Optional[Callable[[], None]] = None
 
-        table = CPU._dispatch
-        if table is None:
-            from .decoder import dispatch_table
-
-            table = CPU._dispatch = dispatch_table()
-        self._table = table
+        self._table = dispatch_table()
 
     @property
-    def dispatch_table(self) -> List[Optional[Handler]]:
-        """The 65536-entry opcode handler table (shared, read-only by
-        convention).  Replay cores predecode handlers out of it."""
+    def dispatch_table(self) -> Mapping[int, Optional[Handler]]:
+        """The process-wide opcode handler table (see
+        :func:`repro.m68k.decoder.dispatch_table`): indexing it with an
+        opcode word builds that word's handler on first use.  Replay
+        cores predecode handlers out of it."""
         return self._table
 
     # ------------------------------------------------------------------

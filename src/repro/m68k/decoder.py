@@ -1,33 +1,41 @@
-"""Dispatch-table construction for the 68000 interpreter.
+"""Opcode dispatch table for the 68000 interpreter.
 
-Every 16-bit opcode word is decoded once, up front, into a handler
-closure; the interpreter loop then runs with a single list index per
-instruction.  Building the table costs well under a second and is done
-once per process (cached on :class:`repro.m68k.cpu.CPU`).
+Each 16-bit opcode word decodes into a handler closure the first time
+the interpreter (or a block predecoder, or the static analyzer) looks
+it up; the result — ``None`` for an illegal word — is cached for the
+life of the process.  A session touches a few hundred of the 65,536
+words, so building all of them up front (about 9,500 ``compile()``
+calls, 1.7 s of CPU) would dominate a short session's cold start.
+Lookups stay a single subscript: a miss lands in ``__missing__``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Mapping, Optional
 
 from .instructions import Handler, build_handler
 
 
-def build_dispatch_table() -> List[Optional[Handler]]:
-    """Build the 65536-entry opcode dispatch table."""
-    return [build_handler(op) for op in range(0x10000)]
+class _LazyTable(dict[int, Optional[Handler]]):
+    """``op -> build_handler(op)``, built and cached on first lookup."""
+
+    def __missing__(self, op: int) -> Optional[Handler]:
+        if not 0 <= op <= 0xFFFF:
+            raise KeyError(op)
+        handler = self[op] = build_handler(op)
+        return handler
 
 
-_TABLE: Optional[List[Optional[Handler]]] = None
+_TABLE = _LazyTable()
 
 
-def dispatch_table() -> List[Optional[Handler]]:
-    """The process-wide dispatch table, built on first use.
+def dispatch_table() -> Mapping[int, Optional[Handler]]:
+    """The process-wide opcode dispatch table.
 
-    Shared by every :class:`~repro.m68k.cpu.CPU` instance and by the
-    block-predecoding replay core, which snapshots handlers out of it.
+    Shared by every :class:`~repro.m68k.cpu.CPU` instance, by the
+    block-predecoding replay core, which snapshots handlers out of it,
+    and by the static analyzer's legality test.  Index it with any
+    16-bit opcode word; ``None`` marks an illegal word.
     """
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = build_dispatch_table()
     return _TABLE
+

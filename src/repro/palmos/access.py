@@ -15,7 +15,7 @@ them through one of two accessors:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 if TYPE_CHECKING:
     from ..m68k.bus import FlatMemory
@@ -56,6 +56,12 @@ class TracedAccess:
     ROM stub in flash.  The companion fetch only happens while a tracer
     is attached (profiled runs); it costs the same four cycles a real
     fetch would.
+
+    Byte runs (:meth:`read_bytes`, :meth:`write_bytes`) that stay in RAM
+    take one slice arm, traced or not, that charges the same cycles and
+    records the same references and code-watch hits as the per-byte
+    loop; the loop remains for the configurations listed in
+    :meth:`_charge_run`.
     """
 
     def __init__(self, cpu: "CPU", microcode_fetch: bool = True):
@@ -92,59 +98,78 @@ class TracedAccess:
         self._note_fetch()
         self._cpu.write(addr, 4, value)
 
-    def _bulk_tokens(self, addr: int, length: int, data_kb: int) -> Any:
-        """The packed trace tokens of a byte run, exactly as the
-        per-byte loop records them: one microcode fetch token before
-        every even-indexed byte, one data token per byte."""
-        import numpy as np
+    def _charge_run(self, addr: int, length: int, kb: int) -> Optional[int]:
+        """Charge a byte run in one step; return its offset into RAM, or
+        ``None`` when the per-byte loop must serve it.
 
+        The loop (the differential oracle) keeps runs of 8 bytes or
+        fewer, runs that leave RAM, ``microcode_fetch=False``, an
+        attached sanitizer, tracers other than the
+        :class:`~repro.emulator.profiling.Profiler`, and profilers with
+        online caches or per-pc reference tracking.  Everything else is
+        charged exactly as the loop charges it: 4 cycles per byte and,
+        with a profiler attached, one microcode fetch (4 cycles, one
+        reference) before every even-indexed byte plus one ``kb``
+        reference per byte.
+        """
         cpu = self._cpu
-        bus = cpu.bus
-        pcf = cpu.pc & 0xFFFFFFFE
-        if bus._ram_base <= pcf and pcf < bus.ram_limit:
-            ftok = pcf                          # fetch, RAM
-        elif bus._flash_base <= pcf and pcf < bus.flash_limit:
-            ftok = pcf | (0x10 << 32)           # fetch, flash
-        else:
+        bus: Any = cpu.bus
+        base = getattr(bus, "_ram_base", None)
+        if (length <= 8 or base is None or not self.microcode_fetch
+                or bus.san is not None
+                or not (base <= addr and addr + length <= bus.ram_limit)):
             return None
-        pairs = length >> 1
-        toks = np.empty(length + pairs + (length & 1), dtype=np.uint64)
-        body = toks[:3 * pairs].reshape(pairs, 3)
-        body[:, 0] = ftok
-        body[:, 1] = np.arange(addr, addr + 2 * pairs, 2,
-                               dtype=np.uint64) + data_kb
-        body[:, 2] = np.arange(addr + 1, addr + 2 * pairs, 2,
-                               dtype=np.uint64) + data_kb
-        if length & 1:
-            toks[3 * pairs] = ftok
-            toks[3 * pairs + 1] = (addr + length - 1) + data_kb
-        return toks
-
-    def _bulk_ok(self, addr: int, length: int) -> bool:
-        """True when the whole run stays on the traced RAM fast arm:
-        profiler-tracing configuration, no sanitizer, all in RAM."""
-        cpu = self._cpu
-        bus = cpu.bus
-        tracer = getattr(bus, "tracer", None)
-        if (not self.microcode_fetch or tracer is None
-                or type(tracer) is not _profiler_type()
-                or not tracer.trace_references
-                or tracer.track_reference_pcs or tracer.online_caches
-                or getattr(bus, "san", None) is not None
-                or getattr(bus, "_ram_base", None) is None):
-            return False
-        return bus._ram_base <= addr and addr + length <= bus.ram_limit
+        tracer = bus.tracer
+        if tracer is not None:
+            if (type(tracer) is not _profiler_type() or tracer.online_caches
+                    or tracer.track_reference_pcs):
+                return None
+            pcf = cpu.pc & 0xFFFFFFFE
+            if base <= pcf and pcf < bus.ram_limit:
+                ftok = pcf                          # fetch, RAM
+            elif bus._flash_base <= pcf and pcf < bus.flash_limit:
+                ftok = pcf | (0x10 << 32)           # fetch, flash
+            else:
+                return None
+            fetches = (length + 1) >> 1
+            if tracer.trace_references:
+                tracer.bulk_references(
+                    _run_tokens(ftok, addr, length, kb << 32))
+            else:
+                counts = tracer._counts
+                counts[ftok >> 32] += fetches
+                counts[kb] += length
+            cpu.cycles += 4 * fetches
+        cpu.cycles += 4 * length
+        return addr - base
 
     def read_bytes(self, addr: int, length: int) -> bytes:
+        off = self._charge_run(addr, length, 0x1)     # read, RAM
+        if off is None:
+            return self._read_loop(addr, length)
+        bus: Any = self._cpu.bus
+        return bytes(bus._ram_data[off:off + length])
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        length = len(data)
+        off = self._charge_run(addr, length, 0x2)     # write, RAM
+        if off is None:
+            self._write_loop(addr, data)
+            return
+        bus: Any = self._cpu.bus
+        w = bus.ram_watch
+        if w is not None and w.pages:
+            # The loop hits each watched page once, at its first byte:
+            # the code watch stops watching a page on its first hit.
+            pages = w.pages
+            for page in range(addr >> 8, ((addr + length - 1) >> 8) + 1):
+                if page in pages:
+                    w.hit(max(addr, page << 8))
+        bus._ram_data[off:off + length] = data
+
+    def _read_loop(self, addr: int, length: int) -> bytes:
+        """The per-byte read loop: the fallback and the oracle."""
         cpu = self._cpu
-        if length > 8 and self._bulk_ok(addr, length):
-            toks = self._bulk_tokens(addr, length, 0x1 << 32)
-            if toks is not None:
-                bus = cpu.bus
-                bus.tracer.bulk_references(toks)
-                cpu.cycles += 4 * length + 4 * ((length + 1) >> 1)
-                off = addr - bus._ram_base
-                return bytes(bus._ram_data[off:off + length])
         out = bytearray()
         for i in range(length):
             if i % 2 == 0:
@@ -152,25 +177,33 @@ class TracedAccess:
             out.append(cpu.read(addr + i, 1))
         return bytes(out)
 
-    def write_bytes(self, addr: int, data: bytes) -> None:
+    def _write_loop(self, addr: int, data: bytes) -> None:
+        """The per-byte write loop: the fallback and the oracle."""
         cpu = self._cpu
-        length = len(data)
-        if length > 8 and self._bulk_ok(addr, length):
-            bus = cpu.bus
-            w = bus.ram_watch
-            if w is None or not w.pages or w.pages.isdisjoint(
-                    range(addr >> 8, ((addr + length - 1) >> 8) + 1)):
-                toks = self._bulk_tokens(addr, length, 0x2 << 32)
-                if toks is not None:
-                    bus.tracer.bulk_references(toks)
-                    cpu.cycles += 4 * length + 4 * ((length + 1) >> 1)
-                    off = addr - bus._ram_base
-                    bus._ram_data[off:off + length] = data
-                    return
         for i, byte in enumerate(data):
             if i % 2 == 0:
                 self._note_fetch()
             cpu.write(addr + i, 1, byte)
+
+
+def _run_tokens(ftok: int, addr: int, length: int, data_kb: int) -> Any:
+    """The packed trace tokens of a byte run, exactly as the per-byte
+    loop records them: the microcode fetch token ``ftok`` before every
+    even-indexed byte, one data token per byte."""
+    import numpy as np
+
+    pairs = length >> 1
+    toks = np.empty(length + pairs + (length & 1), dtype=np.uint64)
+    body = toks[:3 * pairs].reshape(pairs, 3)
+    body[:, 0] = ftok
+    body[:, 1] = np.arange(addr, addr + 2 * pairs, 2,
+                           dtype=np.uint64) + data_kb
+    body[:, 2] = np.arange(addr + 1, addr + 2 * pairs, 2,
+                           dtype=np.uint64) + data_kb
+    if length & 1:
+        toks[3 * pairs] = ftok
+        toks[3 * pairs + 1] = (addr + length - 1) + data_kb
+    return toks
 
 
 class HostAccess:

@@ -24,6 +24,7 @@ two thirds of all memory references hit flash (Table 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -465,6 +466,16 @@ def _simple_stub(trap: Trap) -> str:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _assemble_rom(source: str,
+                  symbols: Tuple[Tuple[str, int], ...]) -> Program:
+    """Assemble a ROM once per process for each distinct source text and
+    symbol set: collecting a session and replaying it boot the same ROM,
+    as does every kernel a test or sweep creates.  Callers share the
+    returned :class:`Program`; nothing mutates one after assembly."""
+    return assemble(source, origin=C.FLASH_BASE, symbols=dict(symbols))
+
+
 class RomBuilder:
     """Assembles the kernel ROM plus any ROM-resident applications."""
 
@@ -483,8 +494,7 @@ class RomBuilder:
         return "\n".join(parts)
 
     def build(self) -> Program:
-        program = assemble(self.source(), origin=C.FLASH_BASE,
-                           symbols=_symbols())
+        program = _assemble_rom(self.source(), tuple(_symbols().items()))
         self._check(program)
         return program
 

@@ -55,6 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _SCREEN_W = C.SCREEN_WIDTH
 _SCREEN_H = C.SCREEN_HEIGHT
 _ROW_BYTES = _SCREEN_W * C.SCREEN_BYTES_PER_PIXEL
+#: MemSet writes its run in chunks of this many bytes.  The length is an
+#: unchecked 32-bit guest argument: a bad one must fault at the first
+#: unmapped byte, as the byte loop does, without first asking the host
+#: for up to 4 GiB.  The chunk is even, so every chunk starts on the
+#: same microcode-fetch parity as the whole run would.
+_MEMSET_CHUNK = 0x10000
 
 
 class SysCalls:
@@ -437,7 +443,9 @@ class SysCalls:
         ptr = self._arg(cpu, base, 0)
         length = self._arg(cpu, base, 1)
         value = self._arg(cpu, base, 2) & 0xFF
-        self.acc.write_bytes(ptr, bytes([value]) * length)
+        run = bytes([value]) * min(length, _MEMSET_CHUNK)
+        for off in range(0, length, _MEMSET_CHUNK):
+            self.acc.write_bytes(ptr + off, run[:length - off])
         cpu.d[0] = 0
 
     # ==================================================================

@@ -36,6 +36,16 @@ class TestBoot:
         chunks = list(kernel.dyn_heap.with_access(kernel.host).chunks())
         assert len(chunks) == 1 and chunks[0].free
 
+    def test_rom_assembled_once_per_source(self):
+        from repro.palmos.rom import RomBuilder
+
+        program = RomBuilder([RECORDER_APP]).build()
+        assert RomBuilder([RECORDER_APP]).build() is program
+        other = RomBuilder([BLANK_APP]).build()
+        assert other is not program
+        assert "app_blank" in other.symbols
+        assert "app_blank" not in program.symbols
+
     def test_rand_seeded_through_trap_at_boot(self):
         # Two kernels with different entropy develop different RNG state.
         k1 = make_kernel(entropy_seed=111)
