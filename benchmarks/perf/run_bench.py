@@ -19,7 +19,7 @@ Usage::
 
     python benchmarks/perf/run_bench.py              # full harness
     python benchmarks/perf/run_bench.py --quick      # CI smoke scale
-    python benchmarks/perf/run_bench.py --trace t.npz --out BENCH.json
+    python benchmarks/perf/run_bench.py --trace t.ptrc --out BENCH.json
 """
 
 from __future__ import annotations
@@ -100,14 +100,15 @@ EMULATOR_KW = {"ram_size": 8 << 20, "flash_size": 1 << 20}
 def load_trace(args) -> tuple:
     """The benchmark trace: a synthetic session collected and replayed
     through the device model by default (that replay *is* the tracked
-    trace-generation stage), or any ``.npz`` reference trace.  Returns
+    trace-generation stage), or any ``.ptrc`` trace container.  Returns
     ``(addresses, writes, generation_record, session)`` — ``session``
-    is ``None`` for the ``.npz`` path (no replay A/B possible)."""
+    is ``None`` for the container path (no replay A/B possible)."""
     n = args.refs
     if args.trace:
-        from repro.emulator import ReferenceTrace
+        from repro.traces.container import TraceContainer
 
-        trace = ReferenceTrace.load(args.trace).memory_only()
+        with TraceContainer(args.trace) as container:
+            trace = container.reference_trace().memory_only()
         addresses = trace.addresses[:n]
         writes = trace.is_write[:n]
         gen = {"source": str(args.trace), "refs": int(len(addresses))}
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_cache.json"))
     parser.add_argument("--trace", default=None,
-                        help=".npz reference trace instead of the "
+                        help=".ptrc trace container instead of the "
                              "synthetic generator")
     parser.add_argument("--refs", type=int, default=None,
                         help="cap the trace length")

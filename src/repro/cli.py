@@ -31,13 +31,10 @@ def _add_replay(sub) -> None:
     p.add_argument("--session", required=True, help="archive directory")
     p.add_argument("--no-profile", action="store_true",
                    help="skip profiling (faster)")
-    p.add_argument("--trace", default=None,
-                   help="write the reference trace to this .npz file")
     p.add_argument("--trace-out", default=None, metavar="FILE.ptrc",
                    help="stream the reference trace into a PTRC "
                         "container during the replay (bounded memory "
-                        "unless --trace or checkpointing also needs "
-                        "the in-RAM copy)")
+                        "unless checkpointing needs the in-RAM copy)")
     p.add_argument("--trace-codec", default="zlib",
                    help="PTRC codec for --trace-out: raw, zlib, or "
                         "zstd when available (default zlib)")
@@ -106,10 +103,8 @@ def _add_sweep(sub) -> None:
     p = sub.add_parser("sweep", help="run the 56-configuration cache "
                                      "study on a trace")
     p.add_argument("--trace", required=True,
-                   help=".npz reference trace, or a .ptrc container / "
-                        "archive directory (streamed out-of-core)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="cap the number of references")
+                   help=".ptrc container or trace archive directory "
+                        "(streamed out-of-core)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan the sweep out over N worker processes "
                         "sharing the trace (default: in-process)")
@@ -123,7 +118,7 @@ def _add_sweep(sub) -> None:
 def _add_desktop(sub) -> None:
     p = sub.add_parser("desktop-trace", help="generate a synthetic "
                                              "desktop trace (Figure 7)")
-    p.add_argument("--out", required=True, help="output .npz file")
+    p.add_argument("--out", required=True, help="output .ptrc file")
     p.add_argument("--length", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
@@ -241,9 +236,9 @@ def _add_trace(sub) -> None:
 
     conv = act.add_parser(
         "convert",
-        help="convert between trace formats by extension: .npz "
-             "(ReferenceTrace), .din (dinero text), .ptrc (container); "
-             "dinero<->PTRC conversion streams chunk by chunk")
+        help="convert between trace formats by extension: .ptrc "
+             "(container, or an archive directory as the source) and "
+             ".din (dinero text); streams chunk by chunk")
     conv.add_argument("src")
     conv.add_argument("dst")
     conv.add_argument("--codec", default="zlib",
@@ -491,9 +486,9 @@ def cmd_replay(args) -> int:
             sanitize_elide=not args.no_sanitize_elide,
             validate_codegen=args.validate_codegen,
             trace_sink=trace_writer,
-            # --trace still needs the in-RAM copy; otherwise the trace
-            # lives only in the container and the replay runs bounded.
-            trace_spill=trace_writer is not None and not args.trace)
+            # The trace lives only in the container: the replay runs
+            # in bounded memory.
+            trace_spill=trace_writer is not None)
     except BaseException:
         if trace_writer is not None:
             trace_writer.abort()
@@ -515,9 +510,6 @@ def cmd_replay(args) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-        if args.trace:
-            profiler.reference_trace().save(args.trace)
-            print(f"trace written: {args.trace}")
     if trace_writer is not None:
         _report_trace_out(trace_writer.close(), args.trace_out)
     if args.hot:
@@ -671,9 +663,6 @@ def _replay_resilient(args, jitter) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-        if args.trace:
-            profiler.reference_trace().save(args.trace)
-            print(f"trace written: {args.trace}")
         if args.trace_out:
             # Drained after the replay rather than streamed: PRCKPT01
             # checkpoints carry the in-RAM trace, so spilling it would
@@ -723,39 +712,29 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     from .analysis import format_access_times, format_miss_rates
     from .cache import RegionMix, sweep_parallel
-    from .emulator import ReferenceTrace
+    from .traces.container import open_chunk_source
 
+    path = Path(args.trace)
+    fmt = _trace_format(path)
+    if fmt != "ptrc":
+        hint = (f"run `palm-repro trace convert {path} "
+                f"{path.with_suffix('.ptrc')}` first" if fmt == "din"
+                else "use a .ptrc container or an archive directory")
+        print(f"sweep reads PTRC traces only: {hint}", file=sys.stderr)
+        return 2
+    try:
+        with open_chunk_source(path) as src:
+            counts = src.counts()
+    except _trace_read_errors() as exc:
+        return _unreadable_trace("sweep", path, exc)
     jobs = max(1, args.jobs)
     how = f"{jobs} workers" if jobs > 1 else "in-process"
-    path = Path(args.trace)
-    if path.is_dir() or path.suffix == ".ptrc":
-        # Out-of-core: workers stream chunks straight off the container
-        # (or archive directory); the trace is never fully resident.
-        from .traces.container import open_chunk_source
-        if args.limit:
-            print("--limit does not apply to container sweeps "
-                  "(the trace is streamed, not loaded)", file=sys.stderr)
-            return 2
-        with_src = open_chunk_source(args.trace)
-        try:
-            counts = with_src.counts()
-        finally:
-            closer = getattr(with_src, "close", None)
-            if closer is not None:
-                closer()
-        total = counts["ram"] + counts["flash"]
-        print(f"sweeping {total:,} references out-of-core ({how}) ...")
-        points = sweep_parallel(container=args.trace, jobs=jobs,
-                                chunk_timeout=args.chunk_timeout)
-    else:
-        trace = ReferenceTrace.load(args.trace).memory_only()
-        counts = trace.counts()
-        addresses = trace.addresses
-        if args.limit:
-            addresses = addresses[:args.limit]
-        print(f"sweeping {len(addresses):,} references ({how}) ...")
-        points = sweep_parallel(addresses, jobs=jobs,
-                                chunk_timeout=args.chunk_timeout)
+    total = counts["ram"] + counts["flash"]
+    # Workers stream chunks straight off the container (or archive
+    # directory); the trace is never fully resident.
+    print(f"sweeping {total:,} references out-of-core ({how}) ...")
+    points = sweep_parallel(container=path, jobs=jobs,
+                            chunk_timeout=args.chunk_timeout)
     print(format_miss_rates(points))
     print()
     mix = RegionMix(counts["ram"], counts["flash"])
@@ -766,13 +745,14 @@ def cmd_sweep(args) -> int:
 def cmd_desktop(args) -> int:
     import numpy as np
 
-    from .traces import generate_desktop_trace
+    from .traces import ContainerWriter, generate_desktop_trace
 
     trace = generate_desktop_trace(args.length, seed=args.seed)
-    # Store in the ReferenceTrace container (all data reads, RAM).
-    from .emulator import ReferenceTrace
-    kinds = np.ones(len(trace), dtype=np.uint8)
-    ReferenceTrace(addresses=trace, kinds=kinds).save(args.out)
+    # Every reference is a RAM data read (kinds byte 1).
+    with ContainerWriter(args.out, session={
+            "source": "desktop-trace", "length": args.length,
+            "seed": args.seed}) as writer:
+        writer.append_reference(trace, np.ones(len(trace), dtype=np.uint8))
     print(f"wrote {len(trace):,} references to {args.out}")
     return 0
 
@@ -1035,24 +1015,52 @@ _KIND_NAMES = {0: "fetch", 1: "read", 2: "write"}
 _REGION_NAMES = {0: "ram", 1: "flash", 2: "hw", 3: "card"}
 
 
-def _trace_reference_stream(path: Path):
-    """``(addresses, kinds)`` chunk pairs from any trace format."""
+def _trace_format(path: Path) -> Optional[str]:
+    """``"ptrc"`` for a PTRC file or archive directory, ``"din"`` for
+    dinero text, ``None`` for anything else."""
     if path.is_dir() or path.suffix == ".ptrc":
-        from .traces.container import open_chunk_source, unpack_tokens
-        src = open_chunk_source(path)
-        try:
-            for chunk in src.chunks():
-                yield unpack_tokens(chunk)
-        finally:
-            closer = getattr(src, "close", None)
-            if closer is not None:
-                closer()
-    elif path.suffix == ".din":
+        return "ptrc"
+    return "din" if path.suffix == ".din" else None
+
+
+def _unknown_trace_format(path: Path) -> int:
+    print(f"unknown trace format {path.suffix!r} (use .ptrc, an archive "
+          "directory or .din)", file=sys.stderr)
+    return 2
+
+
+def _trace_reference_stream(path: Path):
+    """``(addresses, kinds)`` chunk pairs from a PTRC file, an archive
+    directory or a dinero file."""
+    if _trace_format(path) == "din":
         from .traces.dinero import read_dinero_chunks
         yield from read_dinero_chunks(path)
+        return
+    from .traces.container import open_chunk_source, unpack_tokens
+    with open_chunk_source(path) as src:
+        for chunk in src.chunks():
+            yield unpack_tokens(chunk)
+
+
+def _trace_read_errors() -> tuple:
+    """The errors a damaged, malformed or missing trace input raises."""
+    from .traces.container import TraceContainerError
+    from .traces.dinero import DineroFormatError
+    return (TraceContainerError, DineroFormatError, OSError)
+
+
+def _unreadable_trace(action: str, path, exc) -> int:
+    """Report a trace input that cannot be read in one line, plus the
+    salvage hint for a damaged container; returns exit status 1."""
+    from .traces.container import TraceContainerError
+
+    if isinstance(exc, TraceContainerError):
+        print(f"not a readable container: {exc}\n"
+              f"(try `trace verify --salvage OUT.ptrc {path}`)",
+              file=sys.stderr)
     else:
-        from .emulator import ReferenceTrace
-        yield from ReferenceTrace.load(path).chunks()
+        print(f"{action} failed: {exc}", file=sys.stderr)
+    return 1
 
 
 def cmd_trace(args) -> int:
@@ -1063,8 +1071,11 @@ def cmd_trace(args) -> int:
         open_chunk_source,
     )
 
+    if args.action == "convert":
+        return _cmd_trace_convert(args)
+    path = Path(args.path)
+
     if args.action == "info":
-        path = Path(args.path)
         if path.is_dir():
             archive = TraceArchive(path)
             meta = archive.meta
@@ -1094,45 +1105,39 @@ def cmd_trace(args) -> int:
                                                       {}).items()):
                     print(f"session.{key:<12s}: {value}")
         except TraceContainerError as exc:
-            print(f"not a readable container: {exc}\n"
-                  f"(try `trace verify --salvage OUT.ptrc {path}`)",
-                  file=sys.stderr)
-            return 1
+            return _unreadable_trace("info", path, exc)
         return 0
 
-    if args.action == "convert":
-        return _cmd_trace_convert(args)
-
     if args.action == "cat":
+        if _trace_format(path) is None:
+            return _unknown_trace_format(path)
         left = args.limit
-        for addresses, kinds in _trace_reference_stream(Path(args.path)):
-            if left is not None:
-                addresses, kinds = addresses[:left], kinds[:left]
-            for addr, kind in zip(addresses, kinds):
-                print(f"{_KIND_NAMES.get(int(kind) & 0x0F, '?'):5s} "
-                      f"{_REGION_NAMES.get(int(kind) >> 4, '?'):5s} "
-                      f"{int(addr):#010x}")
-            if left is not None:
-                left -= len(addresses)
-                if left <= 0:
-                    return 0
+        try:
+            for addresses, kinds in _trace_reference_stream(path):
+                if left is not None:
+                    addresses, kinds = addresses[:left], kinds[:left]
+                for addr, kind in zip(addresses, kinds):
+                    print(f"{_KIND_NAMES.get(int(kind) & 0x0F, '?'):5s} "
+                          f"{_REGION_NAMES.get(int(kind) >> 4, '?'):5s} "
+                          f"{int(addr):#010x}")
+                if left is not None:
+                    left -= len(addresses)
+                    if left <= 0:
+                        break
+        except _trace_read_errors() as exc:
+            return _unreadable_trace("cat", path, exc)
         return 0
 
     # verify
     try:
-        src = open_chunk_source(args.path)
-        try:
+        with open_chunk_source(path) as src:
             report = src.verify(deep=not args.no_deep)
-        finally:
-            closer = getattr(src, "close", None)
-            if closer is not None:
-                closer()
     except TraceContainerError as exc:
         print(f"verify FAILED: {exc}")
         if not args.salvage:
             return 1
         from .resilience import salvage_container
-        result = salvage_container(args.path, args.salvage)
+        result = salvage_container(path, args.salvage)
         print(result.summary())
         print(result.report.format())
         return 0 if result.tokens_kept else 1
@@ -1150,56 +1155,44 @@ def cmd_trace(args) -> int:
 
 
 def _cmd_trace_convert(args) -> int:
-    from .traces.container import TraceContainerError
+    from .traces.container import ContainerWriter
+    from .traces.dinero import write_dinero_chunks
 
     src = Path(args.src)
     dst = Path(args.dst)
-    src_kind = "ptrc" if (src.is_dir() or src.suffix == ".ptrc") \
-        else src.suffix.lstrip(".")
-    dst_kind = "ptrc" if dst.suffix == ".ptrc" else dst.suffix.lstrip(".")
+    if _trace_format(src) is None:
+        return _unknown_trace_format(src)
+    if dst.suffix not in (".ptrc", ".din"):
+        print(f"unknown destination format {dst.suffix!r} "
+              "(use .ptrc or .din)", file=sys.stderr)
+        return 2
     writer_kwargs = {"codec": args.codec}
     if args.chunk_tokens:
         writer_kwargs["chunk_tokens"] = args.chunk_tokens
+    # Written under a temporary name and renamed on success, so a
+    # failure never leaves a torn destination (and a re-encode may
+    # name its own source as the destination).
+    part = dst.with_name(dst.name + ".part")
     try:
-        if dst_kind == "ptrc":
-            from .traces.container import ContainerWriter
-            with ContainerWriter(dst, session={"source": str(src)},
+        if dst.suffix == ".ptrc":
+            with ContainerWriter(part, session={"source": str(src)},
                                  **writer_kwargs) as writer:
                 for addresses, kinds in _trace_reference_stream(src):
                     writer.append_reference(addresses, kinds)
             manifest = writer.manifest
-            print(f"wrote {dst}: {manifest['tokens']:,} tokens, "
-                  f"{manifest['chunks']} chunk(s), codec "
-                  f"{manifest['codec']}, digest {manifest['digest'][:12]}…")
-        elif dst_kind == "din":
-            from .traces.dinero import write_dinero_chunks
-            count = write_dinero_chunks(dst, _trace_reference_stream(src))
-            print(f"wrote {dst}: {count:,} records")
-        elif dst_kind == "npz":
-            import numpy as np
-
-            from .emulator import ReferenceTrace
-            addr_chunks, kind_chunks = [], []
-            for addresses, kinds in _trace_reference_stream(src):
-                addr_chunks.append(addresses)
-                kind_chunks.append(kinds)
-            trace = ReferenceTrace(
-                addresses=(np.concatenate(addr_chunks) if addr_chunks
-                           else np.empty(0, dtype=np.uint32)),
-                kinds=(np.concatenate(kind_chunks) if kind_chunks
-                       else np.empty(0, dtype=np.uint8)))
-            trace.save(dst)
-            print(f"wrote {dst}: {len(trace.addresses):,} references")
+            summary = (f"{manifest['tokens']:,} tokens, "
+                       f"{manifest['chunks']} chunk(s), codec "
+                       f"{manifest['codec']}, "
+                       f"digest {manifest['digest'][:12]}…")
         else:
-            print(f"unknown destination format {dst.suffix!r} "
-                  f"(use .npz, .din or .ptrc)", file=sys.stderr)
-            return 2
-    except (TraceContainerError, OSError) as exc:
+            count = write_dinero_chunks(part, _trace_reference_stream(src))
+            summary = f"{count:,} records"
+        part.replace(dst)
+    except _trace_read_errors() as exc:
+        part.unlink(missing_ok=True)
         print(f"convert failed: {exc}", file=sys.stderr)
         return 1
-    if src_kind not in ("ptrc", "din", "npz"):
-        print(f"note: guessed source format from contents of "
-              f"{src.suffix!r}", file=sys.stderr)
+    print(f"wrote {dst}: {summary}")
     return 0
 
 

@@ -551,12 +551,3 @@ class ReferenceTrace:
                 kinds = kinds[mask]
             if len(addrs):
                 yield addrs, (kinds & 0x0F) == KIND_WRITE
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path) -> None:
-        np.savez_compressed(path, addresses=self.addresses, kinds=self.kinds)
-
-    @classmethod
-    def load(cls, path) -> "ReferenceTrace":
-        data = np.load(path)
-        return cls(addresses=data["addresses"], kinds=data["kinds"])

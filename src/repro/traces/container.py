@@ -546,7 +546,12 @@ class TraceContainer:
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
         if self._mmap is not None:
-            self._mmap.close()
+            try:
+                self._mmap.close()
+            except BufferError:
+                # Zero-copy raw chunk views are still alive; the map is
+                # released with the last of them.
+                pass
             self._mmap = None
         self._fh.close()
 
@@ -555,10 +560,6 @@ class TraceContainer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def open_container(path) -> TraceContainer:
-    return TraceContainer(path)
 
 
 def open_chunk_source(path) -> Union[TraceContainer, "TraceArchive"]:
@@ -580,19 +581,6 @@ def write_container(tokens: Union[np.ndarray, Iterable[np.ndarray]],
         else:
             for block in tokens:
                 writer.append_tokens(np.asarray(block, dtype=np.uint64))
-    return writer.manifest  # type: ignore[return-value]
-
-
-def from_reference_trace(trace, path, **kwargs) -> dict:
-    """Write a ReferenceTrace to a PTRC file; returns the manifest.
-    Streams through the trace's ``chunks()`` windows, so the packed
-    uint64 copy never exceeds one chunk."""
-    with ContainerWriter(path, **kwargs) as writer:
-        if hasattr(trace, "chunks"):
-            for addrs, kinds in trace.chunks():
-                writer.append_reference(addrs, kinds)
-        else:
-            writer.append_reference(trace.addresses, trace.kinds)
     return writer.manifest  # type: ignore[return-value]
 
 
@@ -839,3 +827,13 @@ class TraceArchive:
                         f"{container.digest[:12]}…")
                 reports[record["id"]] = container.verify(deep=deep)
         return reports
+
+    # -- lifecycle --------------------------------------------------------
+    def close(self) -> None:
+        """Nothing to release: members are opened per read."""
+
+    def __enter__(self) -> "TraceArchive":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

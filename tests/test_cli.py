@@ -35,11 +35,12 @@ class TestReplay:
         assert "references" in out
 
     def test_replay_writes_trace(self, archive, tmp_path, capsys):
-        trace_path = tmp_path / "trace.npz"
+        trace_path = tmp_path / "trace.ptrc"
         rc = main(["replay", "--session", str(archive),
-                   "--trace", str(trace_path)])
+                   "--trace-out", str(trace_path)])
         assert rc == 0
-        assert trace_path.exists()
+        assert "trace-out" in capsys.readouterr().out
+        assert main(["trace", "verify", str(trace_path)]) == 0
 
     def test_no_profile_mode(self, archive, capsys):
         rc = main(["replay", "--session", str(archive), "--no-profile"])
@@ -65,24 +66,30 @@ class TestValidate:
 
 class TestSweepPipeline:
     def test_trace_to_sweep(self, archive, tmp_path, capsys):
-        trace_path = tmp_path / "t.npz"
+        trace_path = tmp_path / "t.ptrc"
         assert main(["replay", "--session", str(archive),
-                     "--trace", str(trace_path)]) == 0
+                     "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
-        rc = main(["sweep", "--trace", str(trace_path),
-                   "--limit", "120000"])
+        rc = main(["sweep", "--trace", str(trace_path)])
         assert rc == 0
         out = capsys.readouterr().out
+        assert "out-of-core" in out
         assert "Figure 5" in out and "Figure 6" in out
 
     def test_desktop_trace_generation(self, tmp_path, capsys):
-        out_path = tmp_path / "d.npz"
+        from repro.traces import TraceContainer
+
+        out_path = tmp_path / "d.ptrc"
         rc = main(["desktop-trace", "--out", str(out_path),
                    "--length", "50000", "--seed", "1"])
         assert rc == 0
-        assert out_path.exists()
+        with TraceContainer(out_path) as container:
+            counts = container.counts()
+        assert counts["ram"] == counts["read"] == 50000
+        capsys.readouterr()
         rc = main(["sweep", "--trace", str(out_path)])
         assert rc == 0
+        assert "sweeping 50,000 references" in capsys.readouterr().out
 
 
 class TestRom:

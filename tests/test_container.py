@@ -42,7 +42,6 @@ from repro.traces.container import (
     TraceContainer,
     TraceContainerError,
     available_codecs,
-    from_reference_trace,
     open_chunk_source,
     pack_tokens,
     recover_container,
@@ -52,10 +51,7 @@ from repro.traces.container import (
 )
 from repro.traces.dinero import (
     DineroFormatError,
-    container_to_dinero,
-    dinero_to_container,
-    read_dinero,
-    write_dinero,
+    read_dinero_chunks,
     write_dinero_chunks,
 )
 
@@ -151,7 +147,9 @@ class TestContainerRoundTrip:
         addrs, kinds = unpack_tokens(tokens)
         trace = ReferenceTrace(addresses=addrs, kinds=kinds)
         path = tmp_path / "t.ptrc"
-        from_reference_trace(trace, path, chunk_tokens=128)
+        with ContainerWriter(path, chunk_tokens=128) as writer:
+            for block_addrs, block_kinds in trace.chunks(300):
+                writer.append_reference(block_addrs, block_kinds)
         with TraceContainer(path) as container:
             back = container.reference_trace()
             assert np.array_equal(back.addresses, addrs)
@@ -478,7 +476,7 @@ class TestDineroStreaming:
                            size=5000).astype(np.uint8)
         trace = ReferenceTrace(addresses=addrs, kinds=kinds)
         path = tmp_path / "t.din"
-        write_dinero(trace, path)
+        write_dinero_chunks(path, trace.chunks(1000))
         label = {KIND_READ: 0, KIND_WRITE: 1, KIND_FETCH: 2}
         expected = "".join(f"{label[int(k)]} {int(a):x}\n"
                            for a, k in zip(addrs, kinds))
@@ -491,25 +489,29 @@ class TestDineroStreaming:
                                  np.array([0x0F], dtype=np.uint8))])
 
     def test_dinero_container_round_trip_streams(self, tmp_path):
+        from repro.cli import main
+
         rng = np.random.default_rng(42)
         addrs = rng.integers(0, 1 << 27, size=3000,
                              dtype=np.uint64).astype(np.uint32)
         kinds = rng.choice([KIND_FETCH, KIND_READ, KIND_WRITE],
                            size=3000).astype(np.uint8)
         din = tmp_path / "t.din"
-        write_dinero(ReferenceTrace(addresses=addrs, kinds=kinds), din)
+        write_dinero_chunks(din, [(addrs, kinds)])
         ptrc = tmp_path / "t.ptrc"
-        manifest = dinero_to_container(din, ptrc, chunk_tokens=512)
-        assert manifest["tokens"] == 3000
+        assert main(["trace", "convert", str(din), str(ptrc),
+                     "--chunk-tokens", "512"]) == 0
         din2 = tmp_path / "t2.din"
-        assert container_to_dinero(ptrc, din2) == 3000
+        assert main(["trace", "convert", str(ptrc), str(din2)]) == 0
         assert din2.read_bytes() == din.read_bytes()
         # The container carries the synthesized regions the reader adds.
-        back = read_dinero(din)
+        back_addrs, back_kinds = map(np.concatenate,
+                                     zip(*read_dinero_chunks(din)))
         with TraceContainer(ptrc) as container:
+            assert container.tokens == 3000 and container.n_chunks == 6
             trace = container.reference_trace()
-            assert np.array_equal(trace.addresses, back.addresses)
-            assert np.array_equal(trace.kinds, back.kinds)
+            assert np.array_equal(trace.addresses, back_addrs)
+            assert np.array_equal(trace.kinds, back_kinds)
 
 
 # ----------------------------------------------------------------------
@@ -642,15 +644,93 @@ class TestCliTrace:
         from repro.cli import main
 
         ptrc = self.make_container(tmp_path)
-        npz = tmp_path / "t.npz"
-        assert main(["trace", "convert", str(ptrc), str(npz)]) == 0
-        back = tmp_path / "back.ptrc"
-        assert main(["trace", "convert", str(npz), str(back)]) == 0
-        with TraceContainer(ptrc) as a, TraceContainer(back) as b:
+        # Re-encoding under another codec and chunking keeps the digest.
+        raw = tmp_path / "raw.ptrc"
+        assert main(["trace", "convert", str(ptrc), str(raw),
+                     "--codec", "raw", "--chunk-tokens", "64"]) == 0
+        with TraceContainer(ptrc) as a, TraceContainer(raw) as b:
             assert a.digest == b.digest
+            assert (b.codec, b.n_chunks) == ("raw", 8)
+        # ptrc -> din -> ptrc -> din: dinero carries no region, so the
+        # re-imported container keeps addresses and kinds, and the
+        # second export is byte-identical to the first.
         din = tmp_path / "t.din"
-        assert main(["trace", "convert", str(ptrc), str(din)]) == 0
+        back = tmp_path / "back.ptrc"
+        din2 = tmp_path / "back.din"
+        for src, dst in [(raw, din), (din, back), (back, din2)]:
+            assert main(["trace", "convert", str(src), str(dst)]) == 0
         assert din.stat().st_size > 0
+        assert din2.read_bytes() == din.read_bytes()
+        with TraceContainer(ptrc) as a, TraceContainer(back) as b:
+            before, after = a.reference_trace(), b.reference_trace()
+        assert np.array_equal(before.addresses, after.addresses)
+        assert np.array_equal(before.kind, after.kind)
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [ptrc, raw, din, back, din2])
+        capsys.readouterr()
+        assert main(["trace", "cat", str(raw)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 500
+
+    def test_bad_dinero_reports_line_and_leaves_no_file(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.din"
+        bad.write_text("0 1000\n7 2000\n")
+        out = tmp_path / "out.ptrc"
+        assert main(["trace", "convert", str(bad), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("convert failed: line 2: unknown dinero "
+                              "label")
+        assert len(err.splitlines()) == 1
+        assert sorted(tmp_path.iterdir()) == [bad]
+        assert main(["trace", "cat", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cat failed: line 2: unknown dinero label")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,status,message", [
+        pytest.param(["sweep", "--trace", "{junk}"], 1,
+                     "not a readable container", id="sweep-junk"),
+        pytest.param(["trace", "cat", "{junk}"], 1,
+                     "not a readable container", id="cat-junk"),
+        pytest.param(["trace", "info", "{junk}"], 1,
+                     "not a readable container", id="info-junk"),
+        pytest.param(["sweep", "--trace", "{din}"], 2, "trace convert",
+                     id="sweep-din"),
+        pytest.param(["sweep", "--trace", "{dir}/t.npz"], 2,
+                     "PTRC traces only", id="sweep-npz"),
+        pytest.param(["trace", "convert", "{junk}", "{dir}/out.ptrc"], 1,
+                     "convert failed", id="convert-junk"),
+        pytest.param(["trace", "convert", "{dir}/missing.din",
+                      "{dir}/out.ptrc"], 1, "convert failed",
+                     id="convert-missing"),
+        pytest.param(["trace", "convert", "{dir}/t.npz", "{dir}/out.ptrc"],
+                     2, "unknown trace format", id="convert-from-npz"),
+        pytest.param(["trace", "convert", "{din}", "{dir}/out.npz"], 2,
+                     "unknown destination format", id="convert-to-npz"),
+        pytest.param(["trace", "cat", "{dir}/t.npz"], 2,
+                     "unknown trace format", id="cat-npz"),
+    ])
+    def test_bad_inputs_exit_cleanly(self, tmp_path, capsys, argv, status,
+                                     message):
+        from repro.cli import main
+
+        junk = tmp_path / "junk.ptrc"
+        junk.write_bytes(b"not a container" * 10)
+        din = tmp_path / "x.din"
+        din.write_text("0 1000\n")
+        (tmp_path / "t.npz").write_bytes(b"PK\x03\x04")
+        before = sorted(tmp_path.iterdir())
+        argv = [a.format(junk=junk, din=din, dir=tmp_path) for a in argv]
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        # One line, plus the salvage hint for a damaged container.
+        lines = err.splitlines()
+        assert len(lines) == 1 or (
+            len(lines) == 2 and "trace verify --salvage" in lines[1])
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_verify_salvage_recovers_prefix(self, tmp_path, capsys):
         from repro.cli import main

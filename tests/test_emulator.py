@@ -1,14 +1,12 @@
 """Tests for the replay emulator: state import, playback fidelity, the
 replay queues, profiling, and the jitter model."""
 
-import numpy as np
 import pytest
 
 from repro.device import Button
 from repro.emulator import (
     Emulator,
     JitterModel,
-    ReferenceTrace,
     RomMismatchError,
     replay_session,
 )
@@ -146,16 +144,6 @@ class TestProfiling:
         counts = trace.counts()
         assert counts["ram"] == profiler.ram_refs
         assert counts["flash"] == profiler.flash_refs
-
-    def test_reference_trace_roundtrip(self, tmp_path, session):
-        _, profiler, _ = replay_session(
-            session.initial_state, session.log, apps=APPS,
-            emulator_kwargs=EMU_KW)
-        trace = profiler.reference_trace()
-        trace.save(tmp_path / "trace.npz")
-        back = ReferenceTrace.load(tmp_path / "trace.npz")
-        assert np.array_equal(back.addresses, trace.addresses)
-        assert np.array_equal(back.kinds, trace.kinds)
 
     def test_profiling_disables_native_path(self, session):
         emulator = Emulator(apps=APPS, **EMU_KW)

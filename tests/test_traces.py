@@ -11,7 +11,11 @@ from repro.device.memmap import (
     REGION_RAM,
 )
 from repro.emulator import ReferenceTrace
-from repro.traces.dinero import DineroFormatError, read_dinero, write_dinero
+from repro.traces.dinero import (
+    DineroFormatError,
+    read_dinero_chunks,
+    write_dinero_chunks,
+)
 
 
 def sample_trace() -> ReferenceTrace:
@@ -27,10 +31,20 @@ def sample_trace() -> ReferenceTrace:
     return ReferenceTrace(addresses=addresses, kinds=kinds)
 
 
+def read_back(path) -> ReferenceTrace:
+    """Concatenate the streamed dinero chunks of ``path``."""
+    chunks = list(read_dinero_chunks(path))
+    if not chunks:
+        return ReferenceTrace(np.empty(0, dtype=np.uint32),
+                              np.empty(0, dtype=np.uint8))
+    return ReferenceTrace(np.concatenate([a for a, _ in chunks]),
+                          np.concatenate([k for _, k in chunks]))
+
+
 class TestDinero:
     def test_write_produces_classic_format(self, tmp_path):
         path = tmp_path / "t.din"
-        count = write_dinero(sample_trace(), path)
+        count = write_dinero_chunks(path, sample_trace().chunks())
         assert count == 5
         lines = path.read_text().splitlines()
         assert lines[0] == "0 1000"     # data read
@@ -40,21 +54,21 @@ class TestDinero:
     def test_roundtrip_addresses_and_kinds(self, tmp_path):
         path = tmp_path / "t.din"
         original = sample_trace()
-        write_dinero(original, path)
-        back = read_dinero(path)
+        write_dinero_chunks(path, original.chunks())
+        back = read_back(path)
         assert np.array_equal(back.addresses, original.addresses)
         assert np.array_equal(back.kind, original.kind)
 
     def test_regions_synthesised_from_addresses(self, tmp_path):
         path = tmp_path / "t.din"
-        write_dinero(sample_trace(), path)
-        back = read_dinero(path)
+        write_dinero_chunks(path, sample_trace().chunks())
+        back = read_back(path)
         assert list(back.region) == [REGION_RAM] * 3 + [REGION_FLASH] * 2
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text("0 1000\n\n2 2000\n")
-        back = read_dinero(path)
+        back = read_back(path)
         assert len(back) == 2
 
     def test_roundtrip_large_random_trace(self, tmp_path):
@@ -65,8 +79,9 @@ class TestDinero:
             addresses=rng.integers(0, 1 << 32, n,
                                    dtype=np.uint64).astype(np.uint32),
             kinds=rng.integers(0, 3, n).astype(np.uint8))
-        write_dinero(original, path)
-        back = read_dinero(path)
+        write_dinero_chunks(path, original.chunks(1 << 15))
+        assert len(list(read_dinero_chunks(path))) > 1
+        back = read_back(path)
         assert np.array_equal(back.addresses, original.addresses)
         assert np.array_equal(back.kind, original.kind)
 
@@ -81,12 +96,14 @@ class TestDinero:
         path = tmp_path / "bad.din"
         path.write_text(text)
         with pytest.raises(DineroFormatError, match=message):
-            read_dinero(path)
+            list(read_dinero_chunks(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.din"
         path.write_text("")
-        assert len(read_dinero(path)) == 0
+        assert list(read_dinero_chunks(path)) == []
+        assert write_dinero_chunks(tmp_path / "out.din", []) == 0
+        assert (tmp_path / "out.din").read_bytes() == b""
 
 
 class TestReferenceTraceContainer:
