@@ -140,8 +140,8 @@ def bench_replay(session, quick: bool) -> dict:
     """Replay-core A/B on the same recorded session: the predecoded
     block interpreter (``fast``) vs the stepping loop (``simple``),
     with a bit-exactness cross-check over every observable statistic
-    (cycles, instructions, opcode histogram, reference counts and the
-    packed reference trace)."""
+    (cycles, instructions, opcode histogram and the packed reference
+    trace, from which the reference counts derive)."""
     apps = standard_apps()
     repeats = 1 if quick else 3
     rows = {}
@@ -157,7 +157,6 @@ def bench_replay(session, quick: bool) -> dict:
         cpu = emulator.device.cpu
         fingerprints[core] = (cpu.cycles, cpu.instructions,
                               bytes(profiler.opcode_counts),
-                              profiler.counts_bytes(),
                               profiler.trace_bytes())
         refs = int(len(profiler.reference_trace().addresses))
         rows[core] = {"seconds": round(seconds, 3),

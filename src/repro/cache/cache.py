@@ -4,7 +4,7 @@ A set-associative cache with configurable size, line size,
 associativity, replacement policy (LRU as in the paper, plus FIFO and
 random for the ablation study), and write policy.  This is the
 straightforward, obviously-correct model: the per-access engine for
-random replacement, online caches and the write buffer, and the
+random replacement and the write buffer, and the
 reference the vectorized kernels in :mod:`repro.cache.kernels` are
 validated against.
 """

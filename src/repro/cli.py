@@ -493,23 +493,7 @@ def cmd_replay(args) -> int:
         if trace_writer is not None:
             trace_writer.abort()
         raise
-    elapsed = time.time() - start
-    if args.screenshot:
-        from .analysis import screenshot_ppm
-        screenshot_ppm(emulator.kernel, args.screenshot)
-        print(f"screenshot    : {args.screenshot}")
-    if args.screen:
-        from .analysis import screen_ascii
-        print(screen_ascii(emulator.kernel))
-    print(f"replayed {result.events_injected} events in {elapsed:.1f}s")
-    if profiler is not None:
-        total = profiler.total_refs
-        print(f"instructions : {profiler.instructions:,}")
-        print(f"references   : {total:,} "
-              f"(RAM {100 * profiler.ram_refs / max(1, total):.1f}%, "
-              f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
-        print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
-              f"(paper Table 1: 2.35-2.39)")
+    _report_replay(args, emulator, profiler, result, time.time() - start)
     if trace_writer is not None:
         _report_trace_out(trace_writer.close(), args.trace_out)
     if args.hot:
@@ -537,6 +521,31 @@ def cmd_replay(args) -> int:
                 print(report.format())
                 return 1
     return 0
+
+
+def _report_replay(args, emulator, profiler, result, elapsed: float,
+                   status: Sequence[str] = ()) -> None:
+    """The report both replay paths print: the ``--screenshot`` and
+    ``--screen`` renders, the event count, the ``status`` lines, then
+    the profile summary."""
+    if args.screenshot:
+        from .analysis import screenshot_ppm
+        screenshot_ppm(emulator.kernel, args.screenshot)
+        print(f"screenshot    : {args.screenshot}")
+    if args.screen:
+        from .analysis import screen_ascii
+        print(screen_ascii(emulator.kernel))
+    print(f"replayed {result.events_injected} events in {elapsed:.1f}s")
+    for line in status:
+        print(line)
+    if profiler is not None:
+        total = profiler.total_refs
+        print(f"instructions : {profiler.instructions:,}")
+        print(f"references   : {total:,} "
+              f"(RAM {100 * profiler.ram_refs / max(1, total):.1f}%, "
+              f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
+        print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
+              f"(paper Table 1: 2.35-2.39)")
 
 
 def _print_hot(emulator, profiler, n: int) -> None:
@@ -634,48 +643,34 @@ def _replay_resilient(args, jitter) -> int:
     elapsed = time.time() - start
     for note in out.fault_notes:
         print(f"fault        : {note}")
-    if args.screenshot:
-        from .analysis import screenshot_ppm
-        screenshot_ppm(out.emulator.kernel, args.screenshot)
-        print(f"screenshot    : {args.screenshot}")
-    if args.screen:
-        from .analysis import screen_ascii
-        print(screen_ascii(out.emulator.kernel))
-    result = out.result
-    print(f"replayed {result.events_injected} events in {elapsed:.1f}s")
+    status = []
     if out.checkpoints:
         ticks = out.checkpoints.ticks
-        print(f"checkpoints  : {len(ticks)} kept "
-              f"(ticks {ticks[0]}..{ticks[-1]})" if ticks
-              else "checkpoints  : none captured")
+        status.append(f"checkpoints  : {len(ticks)} kept "
+                      f"(ticks {ticks[0]}..{ticks[-1]})" if ticks
+                      else "checkpoints  : none captured")
     if out.retries:
-        print(f"retries      : {out.retries} (recovered from checkpoint)")
+        status.append(f"retries      : {out.retries} "
+                      f"(recovered from checkpoint)")
     if out.tainted:
-        print("TAINTED      : replay diverged and continued under "
-              "--on-divergence degrade")
-        print(out.report.format())
+        status.append("TAINTED      : replay diverged and continued under "
+                      "--on-divergence degrade")
+        status.append(out.report.format())
     profiler = out.profiler
-    if profiler is not None:
-        total = profiler.total_refs
-        print(f"instructions : {profiler.instructions:,}")
-        print(f"references   : {total:,} "
-              f"(RAM {100 * profiler.ram_refs / max(1, total):.1f}%, "
-              f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
-        print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
-              f"(paper Table 1: 2.35-2.39)")
-        if args.trace_out:
-            # Drained after the replay rather than streamed: PRCKPT01
-            # checkpoints carry the in-RAM trace, so spilling it would
-            # break the resync/retry machinery.  chunks() still streams
-            # the write itself.
-            trace_writer, err = _open_trace_writer(args)
-            if trace_writer is None:
-                print(f"--trace-out: {err}", file=sys.stderr)
-                return 2
-            with trace_writer:
-                for chunk in profiler.chunks():
-                    trace_writer.append_tokens(chunk)
-            _report_trace_out(trace_writer.manifest, args.trace_out)
+    _report_replay(args, out.emulator, profiler, out.result, elapsed, status)
+    if profiler is not None and args.trace_out:
+        # Drained after the replay rather than streamed: PRCKPT01
+        # checkpoints carry the in-RAM trace, so spilling it would break
+        # the resync/retry machinery.  chunks() still streams the write
+        # itself.
+        trace_writer, err = _open_trace_writer(args)
+        if trace_writer is None:
+            print(f"--trace-out: {err}", file=sys.stderr)
+            return 2
+        with trace_writer:
+            for chunk in profiler.chunks():
+                trace_writer.append_tokens(chunk)
+        _report_trace_out(trace_writer.manifest, args.trace_out)
     return 0
 
 
@@ -834,7 +829,7 @@ def cmd_audit(args) -> int:
         state, log = _load_archive(args.session)
         _, profiler, _ = replay_session(
             state, log, apps=standard_apps(), profile=True,
-            trace_references=False, track_opcode_addresses=True,
+            track_opcode_addresses=True,
             track_reference_pcs=True, emulator_kwargs=_EMU_KW)
         report.extend(cross_check_regions(result, profiler.reference_pcs))
 

@@ -9,13 +9,16 @@ bus).  Long accesses count as two references: the DragonBall has a
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..m68k.bus import FlatMemory, WriteWatch, check_aligned
 from ..m68k.errors import AddressError, BusError
 from . import constants as C
 
-#: Region codes used by tracers and the cache study.
+if TYPE_CHECKING:
+    from ..emulator.profiling import Profiler
+
+#: Region codes used by the profiler and the cache study.
 REGION_RAM = 0
 REGION_FLASH = 1
 REGION_HW = 2
@@ -30,12 +33,6 @@ from .memcard import CARD_WINDOW_BASE as _CARD_BASE  # noqa: E402
 from .memcard import CARD_WINDOW_MAX as _CARD_MAX  # noqa: E402
 
 _CARD_LIMIT = _CARD_BASE + _CARD_MAX
-
-
-class Tracer(Protocol):
-    """Receives one call per bus-width reference."""
-
-    def reference(self, addr: int, kind: int, region: int) -> None: ...
 
 
 class SanitizerHook(Protocol):
@@ -103,7 +100,9 @@ class MemoryMap:
         self.hw = HardwareRegs(device)
         self.ram_limit = C.RAM_BASE + ram_size
         self.flash_limit = C.FLASH_BASE + flash_size
-        self.tracer: Optional[Tracer] = None
+        #: The reference recorder (the paper's profiling mode): one
+        #: ``reference`` call per bus-width reference, or nothing.
+        self.tracer: Optional["Profiler"] = None
         #: When True, guest writes to flash raise (real flash needs a
         #: programming sequence; a stray write is a guest bug).
         self.flash_write_protect = True
@@ -124,21 +123,12 @@ class MemoryMap:
         self._flash_base = self.flash.base
 
     def __setattr__(self, name: str, value) -> None:
-        # Assigning ``tracer`` also caches a paired-reference callable:
-        # a 32-bit access emits two consecutive bus-width references,
-        # and the hot 32-bit arms fold them into one call.  Tracers may
-        # provide ``reference_pair`` (the profiler's fast path does);
-        # anything else gets a wrapper that calls ``reference`` twice,
-        # preserving the one-call-per-reference contract exactly.
+        # Assigning ``tracer`` also caches the profiler's paired-reference
+        # callable: a 32-bit access emits two consecutive bus-width
+        # references, and the hot 32-bit arms fold them into one call.
         if name == "tracer":
-            pair = getattr(value, "reference_pair", None)
-            if pair is None and value is not None:
-                ref = value.reference
-
-                def pair(addr, kind, region, _ref=ref):
-                    _ref(addr, kind, region)
-                    _ref(addr + 2, kind, region)
-            object.__setattr__(self, "_tracer_pair", pair)
+            object.__setattr__(self, "_tracer_pair", None if value is None
+                               else value.reference_pair)
         object.__setattr__(self, name, value)
 
     # -- region helpers -----------------------------------------------------

@@ -594,7 +594,6 @@ class PlaybackDriver:
 
 
 def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
-                   trace_references: bool = True,
                    track_opcode_addresses: bool = False,
                    track_reference_pcs: bool = False,
                    jitter: Optional[JitterModel] = None,
@@ -652,7 +651,6 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
     profiler = None
     if profile:
         profiler = emulator.start_profiling(
-            trace_references=trace_references,
             track_opcode_addresses=track_opcode_addresses,
             track_reference_pcs=track_reference_pcs)
         if trace_sink is not None:

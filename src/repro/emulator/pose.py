@@ -102,8 +102,7 @@ class Emulator:
     # ------------------------------------------------------------------
     # Profiling (§2.4.2)
     # ------------------------------------------------------------------
-    def start_profiling(self, trace_references: bool = True,
-                        track_opcode_addresses: bool = False,
+    def start_profiling(self, track_opcode_addresses: bool = False,
                         track_reference_pcs: bool = False) -> Profiler:
         """Enable profiling: native trap optimisations are ignored in
         favour of the original (ROM) code path.
@@ -118,8 +117,7 @@ class Emulator:
         it (``Profiler.reference_pcs``), which is what the semantic
         analyzer's static RAM/flash classification is checked against.
         """
-        profiler = Profiler(trace_references=trace_references,
-                            track_reference_pcs=track_reference_pcs)
+        profiler = Profiler(track_reference_pcs=track_reference_pcs)
         self.profiler = profiler
         self.kernel.device.mem.tracer = profiler
         cpu = self.kernel.device.cpu

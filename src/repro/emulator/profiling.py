@@ -5,17 +5,16 @@ information such as opcodes and memory references ... we treated each
 executed opcode as an index into an array, and incremented the
 respective array element" (§2.4.2).  The profiler here does exactly
 that, plus per-region reference accounting (RAM vs flash — the split
-Table 1 reports) and an optional full reference trace for the cache
-study.
+Table 1 reports) and the full reference trace the cache study reads.
 
-Hot-path design: when tracing, each reference is stored as **one**
-packed integer ``addr | (kind | region << 4) << 32`` appended to a
-plain Python list, which is flushed wholesale into numpy ``uint64``
-chunks every :data:`TRACE_CHUNK` entries.  The flat per-(kind, region)
-counters are *derived* from the chunk histograms instead of being
-incremented per call — one ``list.append`` per reference instead of an
-array increment plus two array appends.  With tracing disabled the
-per-call counter array is kept (there is nothing to derive from).
+Hot-path design: each reference is stored as **one** packed integer
+``addr | (kind | region << 4) << 32`` appended to a plain Python list,
+which is flushed wholesale into numpy ``uint64`` chunks every
+:data:`TRACE_CHUNK` entries.  The flat per-(kind, region) counters are
+*derived* from the chunk histograms instead of being incremented per
+call — one ``list.append`` per reference.  The profiler is the one
+reference recorder: consumers that want less (counts, one cache,
+one region) filter its token stream downstream.
 """
 
 from __future__ import annotations
@@ -59,17 +58,38 @@ def ref_mask_bit(kind: int, region: int) -> int:
     return 1 << (((kind - 1) << 2) | region)
 
 
+def histogram_counts(hist: np.ndarray,
+                     memory_only: bool = False) -> Dict[str, int]:
+    """The ``{ram, flash, hw, fetch, read, write}`` totals of a
+    256-bin histogram of packed kind bytes (``kind | region << 4``).
+    ``memory_only`` drops hardware-register references first, which
+    matches counting a ``ReferenceTrace.memory_only()`` view."""
+    if memory_only:
+        hist = hist.copy()
+        hist[REGION_HW << 4:(REGION_HW << 4) + 16] = 0
+    out = {}
+    for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
+                         (REGION_HW, "hw")]:
+        base = region << 4
+        out[name] = int(hist[base:base + 16].sum())
+    for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
+                       (KIND_WRITE, "write")]:
+        out[name] = int(hist[kind::16].sum())
+    return out
+
+
 class Profiler:
     """Accumulates opcode counts and memory references.
 
     Attach with :meth:`repro.emulator.pose.Emulator.start_profiling`;
     the memory map feeds one call per bus-width reference and the CPU
-    feeds one call per executed opcode.
+    feeds one call per executed opcode.  Bulk paths append pre-packed
+    tokens directly (``bulk_references``; ``TracedAccess`` byte runs
+    and fused blocks) except under per-pc reference tracking, which
+    needs the per-reference :meth:`reference` call.
     """
 
-    def __init__(self, trace_references: bool = True,
-                 track_reference_pcs: bool = False):
-        self.trace_references = trace_references
+    def __init__(self, track_reference_pcs: bool = False):
         #: When enabled (and the per-address opcode hook is wired),
         #: every non-fetch reference is attributed to the pc of the
         #: instruction that caused it: ``reference_pcs[pc]`` is a
@@ -80,11 +100,6 @@ class Profiler:
         self.reference_pcs: Dict[int, int] = {}
         self._current_pc = -1
         self.opcode_counts: array = array("Q", bytes(8 * 0x10000))
-        #: Flat reference counters indexed ``kind | region << 4``, kept
-        #: per-call only when tracing is off; with tracing on the same
-        #: numbers are derived from the trace chunks (the trace and the
-        #: counters are one-to-one by construction).
-        self._counts: array = array("Q", bytes(8 * 256))
         #: Packed pending references; flushed into ``_chunks``.  The
         #: list object's identity is stable for the process lifetime —
         #: fast paths bind ``_pending.append`` directly.
@@ -98,11 +113,6 @@ class Profiler:
         #: static analyzer cross-checks this against its CFG: a pc the
         #: walker never discovered is a decoder or walker bug.
         self.opcode_addresses: Dict[int, int] = {}
-        #: Caches simulated on-line during the replay itself (no trace
-        #: storage; useful when the session is too large to keep a
-        #: trace in memory).  Hardware-register references are skipped,
-        #: as in the off-line pipeline's ``memory_only()``.
-        self.online_caches: list = []
         #: Optional streaming trace sink (a PTRC ``ContainerWriter``):
         #: every flushed chunk is appended to it during replay.  With
         #: ``spill`` the chunks are *not* kept in RAM afterwards — the
@@ -111,7 +121,7 @@ class Profiler:
         self._trace_sink = None
         self._trace_spill = False
         self._spilled_tokens = 0
-        if trace_references and not track_reference_pcs:
+        if not track_reference_pcs:
             # Shadow the general methods with specialised closures:
             # this is the replay hot path (one append per reference).
             self.reference, self.reference_pair = (  # type: ignore[method-assign]
@@ -119,13 +129,9 @@ class Profiler:
 
     # -- hooks ---------------------------------------------------------
     def reference(self, addr: int, kind: int, region: int) -> None:
-        kb = kind | (region << 4)
-        if self.trace_references:
-            self._pending.append((addr & _MASK32) | (kb << 32))
-            if len(self._pending) >= TRACE_CHUNK:
-                self._flush_trace()
-        else:
-            self._counts[kb] += 1
+        self._pending.append((addr & _MASK32) | ((kind | (region << 4)) << 32))
+        if len(self._pending) >= TRACE_CHUNK:
+            self._flush_trace()
         if self.track_reference_pcs and kind != KIND_FETCH \
                 and self._current_pc >= 0:
             # Opcode-word fetches happen *before* the per-pc hook runs
@@ -134,10 +140,6 @@ class Profiler:
             self.reference_pcs[self._current_pc] = \
                 self.reference_pcs.get(self._current_pc, 0) \
                 | ref_mask_bit(kind, region)
-        if self.online_caches and region != REGION_HW:
-            write = kind == KIND_WRITE
-            for cache in self.online_caches:
-                cache.access(addr, write)
 
     def reference_pair(self, addr: int, kind: int, region: int) -> None:
         """The two consecutive bus-width references of one 32-bit
@@ -148,23 +150,15 @@ class Profiler:
 
     def _make_fast_reference(self):
         """The tracing hot path as a closure over locals.  Semantics are
-        identical to the general method for this configuration
-        (``trace_references=True``, ``track_reference_pcs=False``);
-        online caches attached at any time are still honoured because
-        the closure tests the live list object."""
+        identical to the general method without per-pc tracking."""
         pending = self._pending
         append = pending.append
-        caches = self.online_caches
         flush = self._flush_trace
 
         def reference(addr: int, kind: int, region: int) -> None:
             append((addr & _MASK32) | ((kind | (region << 4)) << 32))
             if len(pending) >= TRACE_CHUNK:
                 flush()
-            if caches and region != REGION_HW:
-                write = kind == KIND_WRITE
-                for cache in caches:
-                    cache.access(addr, write)
 
         def reference_pair(addr: int, kind: int, region: int) -> None:
             # Identical to two reference() calls: the flush boundary
@@ -175,11 +169,6 @@ class Profiler:
             append(((addr + 2) & _MASK32) | kb)
             if len(pending) >= TRACE_CHUNK:
                 flush()
-            if caches and region != REGION_HW:
-                write = kind == KIND_WRITE
-                for cache in caches:
-                    cache.access(addr, write)
-                    cache.access(addr + 2, write)
 
         return reference, reference_pair
 
@@ -188,8 +177,8 @@ class Profiler:
         replay core's vectorized fill path).  Equivalent to one
         :meth:`reference` call per element: chunk boundaries are
         unobservable in the recorded stream and the derived counts.
-        Callers guarantee the no-online-cache tracing configuration
-        (the fused dispatch gate enforces it)."""
+        It attributes nothing to pcs, so callers skip it under
+        ``track_reference_pcs``."""
         self._flush_trace()
         self._store_chunk(chunk)
 
@@ -226,9 +215,6 @@ class Profiler:
         raise; resilient replays keep ``spill=False`` because PRCKPT01
         checkpoints serialize the in-RAM trace).
         """
-        if not self.trace_references:
-            raise RuntimeError(
-                "profiler was created with trace_references=False")
         self._flush_trace()
         for chunk in self._chunks:
             sink.append_tokens(chunk)
@@ -266,38 +252,16 @@ class Profiler:
         from ..traces.container import cache_chunks
         return cache_chunks(self.chunks(), memory_only=memory_only)
 
-    @property
-    def trace_tokens(self) -> int:
-        """Total recorded references (including spilled chunks)."""
-        return int(self._counts_snapshot().sum())
-
     def counts_dict(self, memory_only: bool = False) -> Dict[str, int]:
         """``ReferenceTrace.counts()`` without materializing the trace
         (derived from the flat counters).  ``memory_only`` excludes
-        hardware references from the kind totals, matching
+        hardware references, matching
         ``reference_trace().memory_only().counts()``."""
-        snapshot = self._counts_snapshot()
-        out = {}
-        for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                             (REGION_HW, "hw")]:
-            base = region << 4
-            out[name] = int(snapshot[base:base + 16].sum())
-        hw_base = REGION_HW << 4
-        for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                           (KIND_WRITE, "write")]:
-            total = int(snapshot[kind::16].sum())
-            if memory_only:
-                total -= int(snapshot[hw_base + kind])
-            out[name] = total
-        if memory_only:
-            out["hw"] = 0
-        return out
+        return histogram_counts(self._counts_snapshot(), memory_only)
 
     def _counts_snapshot(self) -> np.ndarray:
-        """The 256 flat counters as a uint64 array (derived from the
-        trace when tracing, the per-call array otherwise)."""
-        if not self.trace_references:
-            return np.frombuffer(self._counts, dtype=np.uint64)
+        """The 256 flat counters as a uint64 array, derived from the
+        trace (spilled chunks included)."""
         out = self._chunk_counts.copy()
         if self._pending:
             kinds = (np.array(self._pending, dtype=np.uint64)
@@ -349,10 +313,6 @@ class Profiler:
         return self._region_total(REGION_HW)
 
     @property
-    def card_refs(self) -> int:
-        return self._region_total(REGION_CARD)
-
-    @property
     def total_refs(self) -> int:
         return int(self._counts_snapshot().sum())
 
@@ -400,8 +360,6 @@ class Profiler:
         return merged
 
     def reference_trace(self) -> "ReferenceTrace":
-        if not self.trace_references:
-            raise RuntimeError("profiler was created with trace_references=False")
         packed = self._packed_trace()
         return ReferenceTrace(
             addresses=(packed & np.uint64(_MASK32)).astype(np.uint32),
@@ -409,24 +367,11 @@ class Profiler:
         )
 
     # -- checkpoint serialization ---------------------------------------
-    # The resilience checkpoints (PRCKPT01) store the profiler as four
-    # sections; these methods own their byte layout so the container
-    # stays byte-identical no matter how the profiler buffers its data
-    # internally (and across replay cores).
-    def counts_bytes(self) -> bytes:
-        """The flat counters as 256 native uint64 values (the
-        ``prof_counts`` checkpoint section)."""
-        if not self.trace_references:
-            return self._counts.tobytes()
-        return self._counts_snapshot().tobytes()
-
-    def restore_counts(self, blob: bytes) -> None:
-        if self.trace_references:
-            # Derived from the trace; restore_trace() carries the data.
-            return
-        self._counts = array("Q")
-        self._counts.frombytes(blob)
-
+    # The resilience checkpoints (PRCKPT01) store the trace as two
+    # sections (the counters derive from it); these methods own their
+    # byte layout so the container stays byte-identical no matter how
+    # the profiler buffers its data internally (and across replay
+    # cores).
     def trace_bytes(self) -> Tuple[bytes, bytes]:
         """The reference trace as (addresses, kinds) byte strings —
         native uint32 addresses and uint8 packed kinds, exactly the
@@ -502,10 +447,6 @@ class ReferenceTrace:
     def is_write(self) -> np.ndarray:
         return (self.kinds & 0x0F) == KIND_WRITE
 
-    def ram_only(self) -> "ReferenceTrace":
-        mask = self.region == REGION_RAM
-        return ReferenceTrace(self.addresses[mask], self.kinds[mask])
-
     def memory_only(self) -> "ReferenceTrace":
         """Drop hardware-register references (not cacheable)."""
         mask = self.region != REGION_HW
@@ -519,15 +460,7 @@ class ReferenceTrace:
         packed = np.zeros(256, dtype=np.int64)
         for _addrs, kinds in self.chunks():
             packed += np.bincount(kinds, minlength=256)
-        out = {}
-        for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                             (REGION_HW, "hw")]:
-            base = region << 4
-            out[name] = int(packed[base:base + 16].sum())
-        for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                           (KIND_WRITE, "write")]:
-            out[name] = int(packed[kind::16].sum())
-        return out
+        return histogram_counts(packed)
 
     # -- streaming access ----------------------------------------------
     def chunks(self, chunk_tokens: int = TRACE_CHUNK):
@@ -544,10 +477,5 @@ class ReferenceTrace:
                      chunk_tokens: int = TRACE_CHUNK):
         """``(addresses, writes)`` pairs per window for the out-of-core
         cache kernels (hardware references dropped by default)."""
-        for addrs, kinds in self.chunks(chunk_tokens):
-            if memory_only:
-                mask = (kinds >> 4) != REGION_HW
-                addrs = addrs[mask]
-                kinds = kinds[mask]
-            if len(addrs):
-                yield addrs, (kinds & 0x0F) == KIND_WRITE
+        from ..traces.container import cache_pairs
+        return cache_pairs(self.chunks(chunk_tokens), memory_only)

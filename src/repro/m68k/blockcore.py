@@ -55,6 +55,17 @@ every page any of its chained instructions touches, so a write into
 the *middle* of a chain unlinks the whole superblock.  Bulk loads
 (checkpoint restore, flash re-image) drop the whole cache.
 
+Reference recording: the memory map's tracer slot holds the
+:class:`~repro.emulator.profiling.Profiler` or nothing, so each
+scheduler run sees one of three cases.  The profiler with the standard
+histogram hook runs fused bodies and the batched interpreted loop.
+The per-pc profiler (``start_profiling`` with
+``track_opcode_addresses`` or ``track_reference_pcs``) runs the
+interpreted loop with its per-address hook and is never fused, nor is
+any run under the memory sanitizer.  Without a tracer, blocks run
+untraced.  Fetch tokens always go straight onto the profiler's trace
+list.
+
 A-line/F-line words terminate decoding (they have no handler), but a
 block records the terminating word as its *tail*: after the block's
 instructions complete, the core dispatches the trap directly —
@@ -501,20 +512,12 @@ class BlockCore:
         # between scheduler runs, never inside one).
         tracer = mem.tracer
         fast_append = None     # profiler trace append for fetch tokens
-        emit = None            # generic tracer.reference fallback
-        profiler = None
         if tracer is not None:
-            P = _resolve_profiler()
-            if (type(tracer) is P and tracer.trace_references
-                    and not tracer.online_caches):
-                profiler = tracer
-                fast_append = tracer._pending.append
-            else:
-                emit = tracer.reference
+            _resolve_profiler()        # binds _TRACE_CHUNK
+            fast_append = tracer._pending.append
         hook = cpu.opcode_hook
         opcounts = None
         if (hook is not None and tracer is not None
-                and type(tracer) is _resolve_profiler()
                 and getattr(hook, "__self__", None) is tracer
                 and getattr(hook, "__func__", None)
                 is _resolve_profiler().opcode):
@@ -595,9 +598,9 @@ class BlockCore:
                             refs = block.tok_prefix[executed]
                         block.insns_executed += executed
                         block.fetch_refs += refs
-                    if profiler is not None \
-                            and len(profiler._pending) >= _TRACE_CHUNK:
-                        profiler._flush_trace()
+                    if tracer is not None \
+                            and len(tracer._pending) >= _TRACE_CHUNK:
+                        tracer._flush_trace()
             else:
                 try:
                     if fast_append is not None and opcounts is not None:
@@ -616,7 +619,6 @@ class BlockCore:
                             executed += 1
                             handler(cpu)
                     else:
-                        region = block.region
                         for pc, nxt, token, op, handler in entries:
                             if cpu.cycles >= limit or cpu.pc != pc \
                                     or not block.valid:
@@ -626,8 +628,6 @@ class BlockCore:
                                 break
                             if fast_append is not None:
                                 fast_append(token)
-                            elif emit is not None:
-                                emit(pc, 0, region)
                             cpu.pc = nxt
                             cpu.cycles += 4
                             executed += 1
@@ -650,9 +650,9 @@ class BlockCore:
                             else:
                                 for i in range(executed):
                                     opcounts[entries[i][3]] += 1
-                    if profiler is not None \
-                            and len(profiler._pending) >= _TRACE_CHUNK:
-                        profiler._flush_trace()
+                    if tracer is not None \
+                            and len(tracer._pending) >= _TRACE_CHUNK:
+                        tracer._flush_trace()
 
             # -- trap tail: the A/F-line word the block decoded up to.
             tail = block.tail
@@ -667,8 +667,6 @@ class BlockCore:
                 # hook, then the A/F-line dispatch of CPU._illegal().
                 if fast_append is not None:
                     fast_append(ttoken)
-                elif emit is not None:
-                    emit(tpc, 0, block.region)
                 cpu.pc = (tpc + 2) & _MASK32
                 cpu.cycles += 4
                 cpu.instructions += 1

@@ -15,22 +15,11 @@ them through one of two accessors:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 if TYPE_CHECKING:
     from ..m68k.bus import FlatMemory
     from ..m68k.cpu import CPU
-
-_PROFILER: Any = None
-
-
-def _profiler_type() -> Any:
-    """Lazy :class:`repro.emulator.profiling.Profiler` (import cycle)."""
-    global _PROFILER
-    if _PROFILER is None:
-        from ..emulator.profiling import Profiler
-        _PROFILER = Profiler
-    return _PROFILER
 
 
 class GuestAccess(Protocol):
@@ -57,20 +46,19 @@ class TracedAccess:
     is attached (profiled runs); it costs the same four cycles a real
     fetch would.
 
-    Byte runs (:meth:`read_bytes`, :meth:`write_bytes`) that stay in RAM
-    take one slice arm, traced or not, that charges the same cycles and
-    records the same references and code-watch hits as the per-byte
-    loop; the loop remains for the configurations listed in
-    :meth:`_charge_run`.
+    Byte runs (:meth:`read_bytes`, :meth:`write_bytes`) take one slice
+    arm for their in-RAM part, traced or not, that charges the same
+    cycles and records the same references and code-watch hits as the
+    per-byte loop; the loop remains for the rest of the run and for the
+    configurations listed in :meth:`_charge_run`.
     """
 
-    def __init__(self, cpu: "CPU", microcode_fetch: bool = True):
+    def __init__(self, cpu: "CPU"):
         self._cpu = cpu
-        self.microcode_fetch = microcode_fetch
 
     def _note_fetch(self) -> None:
         cpu = self._cpu
-        if self.microcode_fetch and getattr(cpu.bus, "tracer", None) is not None:
+        if getattr(cpu.bus, "tracer", None) is not None:
             cpu.bus.fetch16(cpu.pc & 0xFFFFFFFE)
             cpu.cycles += 4
 
@@ -98,62 +86,64 @@ class TracedAccess:
         self._note_fetch()
         self._cpu.write(addr, 4, value)
 
-    def _charge_run(self, addr: int, length: int, kb: int) -> Optional[int]:
-        """Charge a byte run in one step; return its offset into RAM, or
-        ``None`` when the per-byte loop must serve it.
+    def _charge_run(self, addr: int, length: int, kb: int) -> int:
+        """Charge the longest prefix of a byte run that the slice arm
+        serves in one step and return its length; the per-byte loop
+        serves the rest of the run.
 
-        The loop (the differential oracle) keeps runs of 8 bytes or
-        fewer, runs that leave RAM, ``microcode_fetch=False``, an
-        attached sanitizer, tracers other than the
-        :class:`~repro.emulator.profiling.Profiler`, and profilers with
-        online caches or per-pc reference tracking.  Everything else is
-        charged exactly as the loop charges it: 4 cycles per byte and,
-        with a profiler attached, one microcode fetch (4 cycles, one
+        A run that crosses the RAM end is cut to its even-length in-RAM
+        prefix, so the loop that takes over keeps the microcode-fetch
+        parity.  The loop (the differential oracle) serves the whole
+        run when that prefix is 8 bytes or fewer, when the run starts
+        outside RAM, under an attached sanitizer, and under a profiler
+        with per-pc reference tracking.  Everything else is charged
+        exactly as the loop charges it: 4 cycles per byte and, with a
+        profiler attached, one microcode fetch (4 cycles, one
         reference) before every even-indexed byte plus one ``kb``
         reference per byte.
         """
         cpu = self._cpu
         bus: Any = cpu.bus
         base = getattr(bus, "_ram_base", None)
-        if (length <= 8 or base is None or not self.microcode_fetch
-                or bus.san is not None
-                or not (base <= addr and addr + length <= bus.ram_limit)):
-            return None
+        if (base is None or bus.san is not None
+                or not (base <= addr < bus.ram_limit)):
+            return 0
+        n = length
+        if addr + n > bus.ram_limit:
+            n = (bus.ram_limit - addr) & ~1
+        if n <= 8:
+            return 0
         tracer = bus.tracer
         if tracer is not None:
-            if (type(tracer) is not _profiler_type() or tracer.online_caches
-                    or tracer.track_reference_pcs):
-                return None
+            if tracer.track_reference_pcs:
+                return 0
             pcf = cpu.pc & 0xFFFFFFFE
             if base <= pcf and pcf < bus.ram_limit:
                 ftok = pcf                          # fetch, RAM
             elif bus._flash_base <= pcf and pcf < bus.flash_limit:
                 ftok = pcf | (0x10 << 32)           # fetch, flash
             else:
-                return None
-            fetches = (length + 1) >> 1
-            if tracer.trace_references:
-                tracer.bulk_references(
-                    _run_tokens(ftok, addr, length, kb << 32))
-            else:
-                counts = tracer._counts
-                counts[ftok >> 32] += fetches
-                counts[kb] += length
-            cpu.cycles += 4 * fetches
-        cpu.cycles += 4 * length
-        return addr - base
+                return 0
+            tracer.bulk_references(_run_tokens(ftok, addr, n, kb << 32))
+            cpu.cycles += 4 * ((n + 1) >> 1)
+        cpu.cycles += 4 * n
+        return n
 
     def read_bytes(self, addr: int, length: int) -> bytes:
-        off = self._charge_run(addr, length, 0x1)     # read, RAM
-        if off is None:
+        n = self._charge_run(addr, length, 0x1)       # read, RAM
+        if not n:
             return self._read_loop(addr, length)
         bus: Any = self._cpu.bus
-        return bytes(bus._ram_data[off:off + length])
+        off = addr - bus._ram_base
+        data = bytes(bus._ram_data[off:off + n])
+        if n < length:
+            data += self._read_loop(addr + n, length - n)
+        return data
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         length = len(data)
-        off = self._charge_run(addr, length, 0x2)     # write, RAM
-        if off is None:
+        n = self._charge_run(addr, length, 0x2)       # write, RAM
+        if not n:
             self._write_loop(addr, data)
             return
         bus: Any = self._cpu.bus
@@ -162,10 +152,13 @@ class TracedAccess:
             # The loop hits each watched page once, at its first byte:
             # the code watch stops watching a page on its first hit.
             pages = w.pages
-            for page in range(addr >> 8, ((addr + length - 1) >> 8) + 1):
+            for page in range(addr >> 8, ((addr + n - 1) >> 8) + 1):
                 if page in pages:
                     w.hit(max(addr, page << 8))
-        bus._ram_data[off:off + length] = data
+        off = addr - bus._ram_base
+        bus._ram_data[off:off + n] = data[:n]
+        if n < length:
+            self._write_loop(addr + n, data[n:])
 
     def _read_loop(self, addr: int, length: int) -> bytes:
         """The per-byte read loop: the fallback and the oracle."""

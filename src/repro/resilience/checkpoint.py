@@ -3,8 +3,9 @@
 A checkpoint is a complete snapshot of the emulated machine at a tick
 boundary: CPU registers, RAM image, peripheral latches, virtual-time
 bookkeeping, the kernel's host-side syscall context, and (when
-profiling) the profiler's counters — everything needed to continue the
-replay to a final state *byte-identical* with an uninterrupted run.
+profiling) the profiler's histogram and reference trace — everything
+needed to continue the replay to a final state *byte-identical* with
+an uninterrupted run.
 Guest-visible kernel state (heaps, databases, the event queue, trap
 patches) needs no special handling: it all lives in guest RAM, so the
 RAM image carries it.
@@ -187,16 +188,9 @@ def capture_emulator(emulator: Any) -> Checkpoint:
 
     profiler = emulator.profiler
     if profiler is not None:
-        state["profiler"] = {
-            "trace_references": profiler.trace_references,
-            "instructions": profiler.instructions,
-        }
+        state["profiler"] = {"instructions": profiler.instructions}
         sections["prof_opcode_counts"] = profiler.opcode_counts.tobytes()
-        sections["prof_counts"] = profiler.counts_bytes()
-        if profiler.trace_references:
-            addr_blob, kind_blob = profiler.trace_bytes()
-            sections["prof_addr"] = addr_blob
-            sections["prof_kind"] = kind_blob
+        sections["prof_addr"], sections["prof_kind"] = profiler.trace_bytes()
         if profiler.opcode_addresses:
             addrs = array("I", profiler.opcode_addresses.keys())
             ops = array("H", profiler.opcode_addresses.values())
@@ -307,16 +301,16 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
             raise CheckpointError(
                 "checkpoint was captured with profiling enabled; call "
                 "start_profiling() before restoring")
-        if profiler.trace_references != prof_state["trace_references"]:
-            raise CheckpointError("profiler trace_references setting differs "
-                                  "from the checkpointed run")
+        if ("prof_addr" not in checkpoint.sections
+                or "prof_kind" not in checkpoint.sections):
+            raise CheckpointError(
+                "checkpoint has profiler state but no reference trace "
+                "(prof_addr/prof_kind sections)")
         profiler.instructions = prof_state["instructions"]
         profiler.opcode_counts = array("Q")
         profiler.opcode_counts.frombytes(checkpoint.sections["prof_opcode_counts"])
-        profiler.restore_counts(checkpoint.sections["prof_counts"])
-        if prof_state["trace_references"]:
-            profiler.restore_trace(checkpoint.sections["prof_addr"],
-                                   checkpoint.sections["prof_kind"])
+        profiler.restore_trace(checkpoint.sections["prof_addr"],
+                               checkpoint.sections["prof_kind"])
         profiler.opcode_addresses = {}
         if "prof_opaddr_pc" in checkpoint.sections:
             addrs = array("I")

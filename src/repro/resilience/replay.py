@@ -181,7 +181,6 @@ def resilient_replay(
     apps: Sequence[Any] = (),
     *,
     profile: bool = True,
-    trace_references: bool = True,
     jitter: Optional[JitterModel] = None,
     emulator_kwargs: Optional[dict] = None,
     reset_timeout: int = DEFAULT_RESET_TIMEOUT,
@@ -222,8 +221,7 @@ def resilient_replay(
     emulator = Emulator(apps=apps, **(emulator_kwargs or {}))
     emulator.load_state(state, restore_clock=jitter is None,
                         final_reset=False)
-    profiler = (emulator.start_profiling(trace_references=trace_references)
-                if profile else None)
+    profiler = emulator.start_profiling() if profile else None
 
     if watch:
         from ..hacks import installed_hack_traps
@@ -292,8 +290,7 @@ def resilient_replay(
                 exc, outcome, manager, watchdog, driver, plan,
                 on_divergence, retry_budget,
                 reference=reference, replay_log=replay_log, apps=apps,
-                profile=profile, trace_references=trace_references,
-                emulator_kwargs=emulator_kwargs,
+                profile=profile, emulator_kwargs=emulator_kwargs,
                 reset_timeout=reset_timeout)
 
     outcome.result = result
@@ -310,7 +307,6 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
                     policy: str, retry_budget: List[int], *,
                     reference: ActivityLog, replay_log: ActivityLog,
                     apps: Sequence[Any], profile: bool,
-                    trace_references: bool,
                     emulator_kwargs: Optional[dict],
                     reset_timeout: int) -> Checkpoint:
     """Apply the divergence policy to one failure; returns the
@@ -319,7 +315,6 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
         raise _escalate(exc, outcome, manager, watchdog,
                         reference=reference, replay_log=replay_log,
                         apps=apps, profile=profile,
-                        trace_references=trace_references,
                         emulator_kwargs=emulator_kwargs,
                         reset_timeout=reset_timeout)
 
@@ -329,7 +324,6 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
         raise _escalate(exc, outcome, manager, watchdog,
                         reference=reference, replay_log=replay_log,
                         apps=apps, profile=profile,
-                        trace_references=trace_references,
                         emulator_kwargs=emulator_kwargs,
                         reset_timeout=reset_timeout)
     if isinstance(exc, GuestResetTimeout):
@@ -342,7 +336,6 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
             raise _escalate(exc, outcome, manager, watchdog,
                             reference=reference, replay_log=replay_log,
                             apps=apps, profile=profile,
-                            trace_references=trace_references,
                             emulator_kwargs=emulator_kwargs,
                             reset_timeout=reset_timeout)
         checkpoint = manager.earliest()
@@ -353,7 +346,6 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
         raise _escalate(exc, outcome, manager, watchdog,
                         reference=reference, replay_log=replay_log,
                         apps=apps, profile=profile,
-                        trace_references=trace_references,
                         emulator_kwargs=emulator_kwargs,
                         reset_timeout=reset_timeout)
     outcome.retries += 1
@@ -421,7 +413,6 @@ def _escalate(exc: BaseException, outcome: ReplayOutcome,
 def _localize(manager: CheckpointManager, bad_tick: int, *,
               reference: ActivityLog, replay_log: ActivityLog,
               apps: Sequence[Any], profile: bool,
-              trace_references: bool,
               emulator_kwargs: Optional[dict],
               reset_timeout: int) -> Tuple[Optional[int], int]:
     """Narrow the first divergent window ``(last_good, first_bad]``.
@@ -445,7 +436,7 @@ def _localize(manager: CheckpointManager, bad_tick: int, *,
         fine = max(1, (hi - lo) // _LOCALIZE_FAN)
         scratch = Emulator(apps=apps, **(emulator_kwargs or {}))
         if profile:
-            scratch.start_profiling(trace_references=trace_references)
+            scratch.start_profiling()
         scratch_watchdog = DivergenceWatchdog(reference)
         last_scratch_cp = [checkpoint]
 

@@ -166,16 +166,15 @@ def unpack_tokens(tokens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             (tokens >> np.uint64(32)).astype(np.uint8))
 
 
-def cache_chunks(token_chunks: Iterable[np.ndarray],
-                 memory_only: bool = True,
-                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Adapt a token-chunk stream for the out-of-core cache kernels:
-    yields ``(addresses, writes)`` per chunk, with hardware-register
-    references dropped (``ReferenceTrace.memory_only`` semantics).
-    Empty chunks are skipped — the kernels' chunk protocol carries no
-    information in them."""
-    for chunk in token_chunks:
-        addrs, kinds = unpack_tokens(np.asarray(chunk, dtype=np.uint64))
+def cache_pairs(pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
+                memory_only: bool = True,
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Adapt an ``(addresses, kinds)`` pair stream for the out-of-core
+    cache kernels: yields ``(addresses, writes)`` per pair, with
+    hardware-register references dropped (``ReferenceTrace.memory_only``
+    semantics).  Empty chunks are skipped — the kernels' chunk protocol
+    carries no information in them."""
+    for addrs, kinds in pairs:
         if memory_only:
             mask = (kinds >> 4) != REGION_HW
             addrs = addrs[mask]
@@ -184,25 +183,24 @@ def cache_chunks(token_chunks: Iterable[np.ndarray],
             yield addrs, (kinds & 0x0F) == KIND_WRITE
 
 
+def cache_chunks(token_chunks: Iterable[np.ndarray],
+                 memory_only: bool = True,
+                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`cache_pairs` over a token-chunk stream."""
+    return cache_pairs((unpack_tokens(np.asarray(chunk, dtype=np.uint64))
+                        for chunk in token_chunks), memory_only)
+
+
 def reference_counts(token_chunks: Iterable[np.ndarray]) -> dict:
     """``ReferenceTrace.counts()``-shaped region/kind totals from a
     token-chunk stream, one chunk resident at a time."""
-    from ..device.memmap import (KIND_FETCH, KIND_READ, REGION_FLASH,
-                                 REGION_RAM)
+    from ..emulator.profiling import histogram_counts
     packed = np.zeros(256, dtype=np.int64)
     for chunk in token_chunks:
         kinds = (np.asarray(chunk, dtype=np.uint64)
                  >> np.uint64(32)).astype(np.uint8)
         packed += np.bincount(kinds, minlength=256)
-    out = {}
-    for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                         (REGION_HW, "hw")]:
-        base = region << 4
-        out[name] = int(packed[base:base + 16].sum())
-    for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                       (KIND_WRITE, "write")]:
-        out[name] = int(packed[kind::16].sum())
-    return out
+    return histogram_counts(packed)
 
 
 # -- writer ---------------------------------------------------------------

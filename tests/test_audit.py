@@ -306,7 +306,7 @@ class TestRomAudit:
         log = ActivityLog.load(quickstart / "activity_log.pdb")
         _, profiler, _ = replay_session(
             state, log, apps=standard_apps(), profile=True,
-            trace_references=False, track_opcode_addresses=True,
+            track_opcode_addresses=True,
             track_reference_pcs=True,
             emulator_kwargs={"ram_size": 8 << 20, "flash_size": 1 << 20})
         assert profiler.reference_pcs, "no per-pc references recorded"

@@ -1,12 +1,12 @@
 """Trap microcode byte runs: the bulk RAM arm against the byte loop.
 
-``TracedAccess.read_bytes``/``write_bytes`` serve a run that stays in
-RAM with one slice, traced or not; the per-byte loop they fall back to
+``TracedAccess.read_bytes``/``write_bytes`` serve the in-RAM part of a
+run with one slice, traced or not; the per-byte loop they fall back to
 is the oracle.  Every observable must match: RAM, ``cpu.cycles``, the
-profiler's trace (or counters), code-watch invalidations and the set of
-predecoded blocks that survive the run.  ``SysCalls.n_MemSet`` is
-checked against the same loop, including guest lengths that run off
-the end of RAM.
+profiler's trace, code-watch invalidations and the set of predecoded
+blocks that survive the run.  ``SysCalls.n_MemSet`` and
+``SysCalls.n_MemMove`` are checked against the same loop, including
+guest lengths that run off the end of RAM.
 """
 
 import struct
@@ -52,15 +52,15 @@ def _observe(dev, tracer, result):
             frozenset(core.blocks), frozenset(core.watch.pages), result)
     if tracer is None:
         return seen
-    if tracer.trace_references:
-        return seen + (tracer.trace_bytes(),)
-    return seen + (tracer.counts_bytes(),)
+    return seen + (tracer.trace_bytes(),)
 
 
+#: Every configuration ``TracedAccess._charge_run`` distinguishes: no
+#: tracer, the profiler (slice arm) and the per-pc profiler (byte loop).
 TRACERS = {
     "untraced": lambda: None,
-    "profiler": lambda: Profiler(trace_references=True),
-    "counts": lambda: Profiler(trace_references=False),
+    "profiler": lambda: Profiler(),
+    "pcs": lambda: Profiler(track_reference_pcs=True),
 }
 
 
@@ -112,7 +112,7 @@ class TestBulkArmMatchesByteLoop:
                     == _run(tracer_kind, FLASH_PC, op, addr, length, True))
 
     def test_write_over_code_invalidates_each_page_once(self):
-        dev = _device(Profiler(trace_references=True), FLASH_PC)
+        dev = _device(Profiler(), FLASH_PC)
         TracedAccess(dev.cpu).write_bytes(0x1FF0, bytes(0x520))
         # Pages 0x20, 0x21, 0x23, 0x24 and 0x25 (the block at 0x24F8
         # spans the last two); the block on the last page survives.
@@ -120,31 +120,37 @@ class TestBulkArmMatchesByteLoop:
         assert set(dev.core.blocks) == {RAM_SIZE - 0x80}
 
 
-def _memset_kernel_args(dev, ptr, length, value):
-    """Lay MemSet's three arguments out at ``sp + 4``."""
+def _kernel_args(dev, *args):
+    """Lay a trap's 32-bit arguments out at ``sp + 4``."""
     sp = 0x8000
     dev.cpu.a[7] = sp
-    dev.mem.ram.data[sp + 4:sp + 16] = struct.pack(">III", ptr, length,
-                                                   value)
+    dev.mem.ram.data[sp + 4:sp + 4 + 4 * len(args)] = struct.pack(
+        f">{len(args)}I", *args)
     return 4
 
 
 class _StubKernel:
     """The slice of :class:`repro.palmos.kernel.PalmOS` that
-    ``SysCalls.n_MemSet`` touches: the traced accessor."""
+    ``SysCalls.n_MemSet`` and ``n_MemMove`` touch: the traced
+    accessor."""
 
     def __init__(self, cpu):
         self.traced = TracedAccess(cpu)
 
 
-def _memset(tracer_kind, ptr, length, oracle):
+def _syscalls(dev):
     from repro.palmos.syscalls import SysCalls
 
-    tracer = TRACERS[tracer_kind]()
-    dev = _device(tracer, FLASH_PC)
-    base = _memset_kernel_args(dev, ptr, length, 0x1AB)
     calls = SysCalls.__new__(SysCalls)
     calls.k = _StubKernel(dev.cpu)
+    return calls
+
+
+def _memset(tracer_kind, ptr, length, oracle):
+    tracer = TRACERS[tracer_kind]()
+    dev = _device(tracer, FLASH_PC)
+    base = _kernel_args(dev, ptr, length, 0x1AB)
+    calls = _syscalls(dev)
     try:
         if oracle:
             args = [calls._arg(dev.cpu, base, i) for i in range(3)]
@@ -172,3 +178,59 @@ class TestMemSetBounds:
         assert got[5] == ("BusError", RAM_SIZE)
         assert got[0][0x1000:] == b"\xab" * (RAM_SIZE - 0x1000)
         assert time.monotonic() - started < 10.0
+
+
+def _memmove(tracer_kind, dst, src, length, oracle, byte_reads=None):
+    tracer = TRACERS[tracer_kind]()
+    dev = _device(tracer, FLASH_PC)
+    base = _kernel_args(dev, dst, src, length)
+    calls = _syscalls(dev)
+    if byte_reads is not None:
+        read = dev.cpu.read
+
+        def counting_read(addr, size):
+            if size == 1:
+                byte_reads.append(addr)
+            return read(addr, size)
+        dev.cpu.read = counting_read
+    try:
+        if oracle:
+            args = [calls._arg(dev.cpu, base, i) for i in range(3)]
+            data = calls.acc._read_loop(args[1], args[2])
+            calls.acc._write_loop(args[0], data)
+        else:
+            calls.n_MemMove(dev.cpu, base)
+        result = None
+    except BusError as exc:
+        result = ("BusError", exc.address)
+    return _observe(dev, tracer, result)
+
+
+class TestMemMoveBounds:
+    @pytest.mark.parametrize("tracer_kind", sorted(TRACERS))
+    @pytest.mark.parametrize("dst,src,length", [
+        (0x2010, 0x2000, 0x301),            # overlapping, forward
+        (0x2000, 0x2011, 0x300),            # overlapping, backward
+        (0x3000, RAM_SIZE - 0x41, 0x45),    # source straddles the RAM end
+        (RAM_SIZE - 0x40, 0x3001, 0x45),    # target straddles the RAM end
+    ])
+    def test_matches_byte_loop(self, tracer_kind, dst, src, length):
+        got = _memmove(tracer_kind, dst, src, length, oracle=False)
+        assert got == _memmove(tracer_kind, dst, src, length, oracle=True)
+        if max(dst, src) + length > RAM_SIZE:
+            assert got[5] == ("BusError", RAM_SIZE)
+
+    @pytest.mark.parametrize("tracer_kind", ["untraced", "profiler"])
+    def test_huge_length_reads_only_past_the_prefix(self, tracer_kind):
+        """A run that crosses the RAM end takes the slice arm up to the
+        end; the byte loop serves only what lies past it, so a wild
+        guest length costs one faulting byte read, not one per RAM
+        byte."""
+        src = 0x2000
+        reads = []
+        got = _memmove(tracer_kind, 0x3000, src, 0xFFFFFFF0, oracle=False,
+                       byte_reads=reads)
+        assert got[5] == ("BusError", RAM_SIZE)
+        assert reads == [RAM_SIZE]
+        assert got == _memmove(tracer_kind, 0x3000, src, 0xFFFFFFF0,
+                               oracle=True)

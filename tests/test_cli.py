@@ -162,7 +162,7 @@ class TestStaticDynamicCrossCheck:
         log = ActivityLog.load(archive / "activity_log.pdb")
         _, profiler, _ = replay_session(
             state, log, apps=standard_apps(), profile=True,
-            trace_references=False, track_opcode_addresses=True,
+            track_opcode_addresses=True,
             emulator_kwargs={"ram_size": 8 << 20, "flash_size": 1 << 20})
         assert profiler.opcode_addresses
 

@@ -7,6 +7,7 @@ import pytest
 from repro.device import Button, PalmDevice, constants as C
 from repro.device.memmap import KIND_FETCH, KIND_READ, KIND_WRITE
 from repro.device import REGION_FLASH, REGION_RAM
+from repro.emulator.profiling import Profiler
 from repro.m68k.asm import assemble
 from repro.m68k.errors import BusError
 
@@ -193,15 +194,6 @@ class TestSoftReset:
         assert device.mem.ram.read32(0x8000) == 0xDEADBEEF
 
 
-class _CountingTracer:
-    def __init__(self):
-        self.counts = {}
-
-    def reference(self, addr, kind, region):
-        key = (kind, region)
-        self.counts[key] = self.counts.get(key, 0) + 1
-
-
 class TestMemoryMap:
     def test_flash_write_protected(self):
         device = make_device()
@@ -220,20 +212,21 @@ class TestMemoryMap:
 
     def test_tracer_sees_fetches_and_data(self):
         device = make_device()
-        tracer = _CountingTracer()
-        device.mem.tracer = tracer
+        profiler = Profiler()
+        device.mem.tracer = profiler
         device.schedule_button_press(5, Button.UP)
         device.advance(20)
-        assert tracer.counts.get((KIND_FETCH, REGION_FLASH), 0) > 0  # ISR code
-        assert tracer.counts.get((KIND_WRITE, REGION_RAM), 0) > 0   # counters
-        assert tracer.counts.get((KIND_READ, REGION_RAM), 0) > 0
+        counts = profiler.counts
+        assert counts.get((KIND_FETCH, REGION_FLASH), 0) > 0  # ISR code
+        assert counts.get((KIND_WRITE, REGION_RAM), 0) > 0   # counters
+        assert counts.get((KIND_READ, REGION_RAM), 0) > 0
 
     def test_long_access_counts_two_references(self):
         device = make_device()
-        tracer = _CountingTracer()
-        device.mem.tracer = tracer
+        profiler = Profiler()
+        device.mem.tracer = profiler
         device.mem.read32(0x1000)
-        assert tracer.counts[(KIND_READ, REGION_RAM)] == 2
+        assert profiler.counts[(KIND_READ, REGION_RAM)] == 2
 
     def test_flash_image_roundtrip(self):
         device = make_device()

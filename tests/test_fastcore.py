@@ -63,7 +63,7 @@ def _run_words(core, words, cycle_limit=200_000):
     mem.ram.load(CODE, b"".join(struct.pack(">H", w & 0xFFFF)
                                 for w in words))
     dev.cpu.reset()
-    prof = Profiler(trace_references=True)
+    prof = Profiler()
     mem.tracer = prof
     dev.cpu.opcode_hook = prof.opcode
     fault = None
@@ -89,7 +89,6 @@ def _assert_bit_exact(words, cycle_limit=200_000):
     assert dev_f.mem.ram.data == dev_s.mem.ram.data
     assert prof_f.instructions == prof_s.instructions
     assert bytes(prof_f.opcode_counts) == bytes(prof_s.opcode_counts)
-    assert prof_f.counts_bytes() == prof_s.counts_bytes()
     assert prof_f.trace_bytes() == prof_s.trace_bytes()
 
 
@@ -210,7 +209,7 @@ def session():
 
 def _profiler_fingerprint(prof):
     return (prof.instructions, bytes(prof.opcode_counts),
-            prof.counts_bytes(), prof.trace_bytes())
+            prof.trace_bytes())
 
 
 def test_session_replay_matches_across_cores(session):

@@ -18,6 +18,7 @@ from repro.emulator.playback import (
 from repro.emulator.pose import Emulator
 from repro.resilience import (
     Checkpoint,
+    CheckpointError,
     DivergenceError,
     DivergenceKind,
     FaultPlan,
@@ -122,7 +123,7 @@ class TestCheckpointResume:
         cps = []
         emulator = Emulator(apps=_APPS, **EMU_KW)
         emulator.load_state(session.initial_state, final_reset=False)
-        emulator.start_profiling(trace_references=True)
+        emulator.start_profiling()
         driver = PlaybackDriver(emulator, session.log, checkpoint_every=100,
                                 checkpoint_hook=cps.append)
         res_ref = driver.run(reset=True)
@@ -131,7 +132,7 @@ class TestCheckpointResume:
 
         cp = cps[len(cps) // 2]
         fresh = Emulator(apps=_APPS, **EMU_KW)
-        fresh.start_profiling(trace_references=True)
+        fresh.start_profiling()
         result = PlaybackDriver(fresh, session.log).resume_from(cp)
         assert vars(result) == vars(res_ref)
         assert fresh.profiler.instructions == profiler.instructions
@@ -139,6 +140,19 @@ class TestCheckpointResume:
             bytes(profiler.opcode_counts)
         assert fresh.profiler.reference_trace().addresses.tobytes() == \
             profiler.reference_trace().addresses.tobytes()
+
+    @pytest.mark.parametrize("missing", ["prof_addr", "prof_kind"])
+    def test_profiled_checkpoint_without_trace_is_refused(self, session,
+                                                          missing):
+        emulator = Emulator(apps=_APPS, **EMU_KW)
+        emulator.load_state(session.initial_state, final_reset=False)
+        emulator.start_profiling()
+        cp = emulator.snapshot()
+        del cp.sections[missing]
+        fresh = Emulator(apps=_APPS, **EMU_KW)
+        fresh.start_profiling()
+        with pytest.raises(CheckpointError, match="reference trace"):
+            fresh.restore(cp)
 
     def test_resume_across_a_guest_reset(self, reset_session):
         reference, res_ref, cps = run_with_checkpoints(reset_session)

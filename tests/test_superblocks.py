@@ -48,7 +48,7 @@ def _make_device(core, words, fuse_threshold=None):
     mem.ram.load(CODE, b"".join(struct.pack(">H", w & 0xFFFF)
                                 for w in words))
     dev.cpu.reset()
-    prof = Profiler(trace_references=True)
+    prof = Profiler()
     mem.tracer = prof
     dev.cpu.opcode_hook = prof.opcode
     if fuse_threshold is not None and hasattr(dev.core, "fuse_threshold"):
@@ -71,7 +71,7 @@ def _state(dev, prof):
     return (tuple(cpu.d), tuple(cpu.a), cpu.pc, cpu.sr, cpu.stopped,
             cpu.cycles, cpu.instructions, bytes(dev.mem.ram.data),
             prof.instructions, bytes(prof.opcode_counts),
-            prof.counts_bytes(), prof.trace_bytes())
+            prof.trace_bytes())
 
 
 def _assert_bit_exact(words, cycle_limit=200_000, fuse_threshold=None):
@@ -207,8 +207,6 @@ def test_checkpoint_mid_superblock_resumes_bit_identically(session):
             bytes(emulator.device.mem.ram.data)
         assert fresh.profiler.trace_bytes() == \
             emulator.profiler.trace_bytes()
-        assert fresh.profiler.counts_bytes() == \
-            emulator.profiler.counts_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +224,7 @@ def test_sanitizer_rides_fast_core_bit_identically(session):
         findings = sorted((f.code, int(f.severity), f.address, f.block)
                           for f in emulator.sanitizer.report.sorted())
         outputs[core] = (vars(result), findings, prof.instructions,
-                         prof.counts_bytes(), prof.trace_bytes())
+                         prof.trace_bytes())
     assert outputs["fast"] == outputs["simple"]
 
 
@@ -267,7 +265,7 @@ def test_region_facts_do_not_change_replay(session, monkeypatch):
             session.initial_state, session.log, apps=_APPS,
             emulator_kwargs={**EMU_KW, "core": "fast"})
         outputs[label] = (vars(result), prof.instructions,
-                         prof.counts_bytes(), prof.trace_bytes(),
+                         prof.trace_bytes(),
                          bytes(emulator.device.mem.ram.data))
     assert outputs["facts"] == outputs["absent"]
 

@@ -76,7 +76,7 @@ def _collect_provs(words, cycle_limit=200_000):
                                 for w in words))
     dev.cpu.reset()
     dev.core.fuse_threshold = 1
-    prof = Profiler(trace_references=True)
+    prof = Profiler()
     mem.tracer = prof
     dev.cpu.opcode_hook = prof.opcode
     provs = []
