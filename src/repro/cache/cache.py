@@ -152,12 +152,7 @@ class Cache:
 
     # ------------------------------------------------------------------
     def run(self, addresses, writes: Optional[np.ndarray] = None) -> CacheStats:
-        """Feed a whole trace (optimised loop); returns the stats."""
-        config = self.config
-        if (config.policy == POLICY_LRU and config.write_policy == WRITE_THROUGH
-                and writes is None):
-            self._run_lru_read(addresses)
-            return self.stats
+        """Feed a whole trace; returns the stats."""
         if writes is None:
             for addr in addresses:
                 self.access(int(addr))
@@ -165,33 +160,6 @@ class Cache:
             for addr, is_write in zip(addresses, writes):
                 self.access(int(addr), bool(is_write))
         return self.stats
-
-    def _run_lru_read(self, addresses) -> None:
-        """Hot path: LRU, reads only (the paper's configuration)."""
-        offset_bits = self._offset_bits
-        set_mask = self._set_mask
-        tag_shift = set_mask.bit_length()
-        sets = self._sets
-        assoc = self.config.associativity
-        hits = 0
-        misses = 0
-        for addr in addresses:
-            line = int(addr) >> offset_bits
-            ways = sets[line & set_mask]
-            tag = line >> tag_shift
-            if tag in ways:
-                hits += 1
-                if ways[-1] != tag:
-                    ways.remove(tag)
-                    ways.append(tag)
-            else:
-                misses += 1
-                if len(ways) >= assoc:
-                    ways.pop(0)
-                ways.append(tag)
-        self.stats.accesses += hits + misses
-        self.stats.hits += hits
-        self.stats.misses += misses
 
     def flush_dirty(self) -> int:
         """Write back every dirty line; returns the count."""

@@ -18,7 +18,7 @@ associativity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,14 +103,17 @@ def misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
 
 
 def sweep_reference(addresses: np.ndarray,
-                    configs: Sequence[CacheConfig]) -> List[SweepPoint]:
+                    configs: Sequence[CacheConfig],
+                    writes: Optional[np.ndarray] = None
+                    ) -> List[SweepPoint]:
     """Simulate each configuration independently on a scalar
-    :class:`Cache`."""
+    :class:`Cache`, with an optional ``writes`` mask (the points then
+    carry write-back/write-through counts)."""
     points = []
     for config in configs:
-        cache = Cache(config)
-        stats = cache.run(addresses)
-        points.append(SweepPoint(config, stats.accesses, stats.misses))
+        stats = Cache(config).run(addresses, writes)
+        points.append(SweepPoint(config, stats.accesses, stats.misses,
+                                 stats.writebacks, stats.write_throughs))
     return points
 
 

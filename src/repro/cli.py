@@ -110,8 +110,9 @@ def _add_sweep(sub) -> None:
                         "sharing the trace (default: in-process)")
     p.add_argument("--chunk-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="fail the sweep if any single work unit takes "
-                        "longer than this (catches killed or wedged "
+                   help="with --jobs N, fail the sweep if a worker "
+                        "takes longer than this on its whole share of "
+                        "the work units (catches killed or wedged "
                         "workers; default: wait forever)")
 
 

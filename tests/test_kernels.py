@@ -5,12 +5,12 @@ The vectorized paths are trusted only because they match the scalar
 reference simulator byte for byte: hypothesis drives randomized traces
 through every policy/write-mode combination and compares whole
 ``CacheStats``; the parallel sweep must return identical points for
-any job count and must never leak shared-memory segments, even when a
-worker dies.  The scalar passes live in :mod:`repro.cache.oracle`.
+any job count and must leave no pool worker alive, even when a worker
+fails.  The scalar passes live in :mod:`repro.cache.oracle`.
 """
 
 import ast
-import glob
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.cache import (
     POLICY_FIFO,
     POLICY_LRU,
     POLICY_RANDOM,
+    SweepWorkerError,
     WRITE_BACK,
     WRITE_THROUGH,
     kernel_misses_by_associativity,
@@ -146,10 +147,6 @@ class TestKernelDifferential:
         assert ref == got
 
 
-def _shm_segments():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 def _boom(unit):
     # Module-level so the pool can pickle it by name into workers.
     raise RuntimeError("injected worker failure")
@@ -202,28 +199,26 @@ class TestSweepParallel:
                                               expected.write_throughs)
 
     def test_no_leaked_segments_after_success(self):
-        before = _shm_segments()
+        """No pool worker outlives a sweep that succeeds."""
         sweep_parallel(self._trace(8_000), jobs=2)
-        assert _shm_segments() == before
+        assert multiprocessing.active_children() == []
 
     def test_no_leaked_segments_after_worker_raises(self, monkeypatch):
-        """A worker exception propagates and leaves no shared-memory
-        segment behind (workers are forked, so the monkeypatched unit
-        function crosses into them)."""
+        """A worker exception surfaces as a typed error and no pool
+        worker outlives it (workers are forked, so the monkeypatched
+        per-share function crosses into them)."""
 
-        monkeypatch.setattr(sweep_module, "_family_unit", _boom)
-        before = _shm_segments()
-        with pytest.raises(RuntimeError, match="injected worker failure"):
+        monkeypatch.setattr(sweep_module, "_grid_share", _boom)
+        with pytest.raises(SweepWorkerError,
+                           match="injected worker failure"):
             sweep_parallel(self._trace(8_000), jobs=2)
-        assert _shm_segments() == before
+        assert multiprocessing.active_children() == []
 
     def test_serial_fallback_used_for_single_job(self, monkeypatch):
         """jobs=1 must not touch multiprocessing at all."""
 
         def no_pool(*a, **k):
             raise AssertionError("Pool should not be created for jobs=1")
-
-        import multiprocessing
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         points = sweep_parallel(self._trace(8_000), jobs=1)
